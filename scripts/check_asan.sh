@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Rebuild the mrf/runtime-labelled tests under AddressSanitizer +
+# Rebuild the mrf/runtime/sweep-labelled tests under AddressSanitizer +
 # UndefinedBehaviorSanitizer and run them. The table-driven fast
 # sweep kernels index precomputed arrays with raw site/label
 # arithmetic; this build polices those accesses. Kept out of the
@@ -19,11 +19,13 @@ cmake -B "${BUILD_DIR}" -S "${SOURCE_DIR}" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "${BUILD_DIR}" -j \
     --target mrf_test runtime_test robustness_test fast_sweep_test simd_sweep_test \
-    workload_test
+    workload_test extensions_test integration_test
 
-# Only the labelled (mrf + runtime) tests: the sampler kernels, the
-# lookup tables, and the chromatic executor that drives them.
-ctest --test-dir "${BUILD_DIR}" -L 'runtime|mrf' \
+# Only the labelled (mrf + runtime + sweep) tests: the sampler
+# kernels, the lookup tables, and every wrapper of the sweep core
+# that drives them (the chromatic executor, RsuGibbsSampler in Isa
+# and Direct mode, AcceleratorSim).
+ctest --test-dir "${BUILD_DIR}" -L 'runtime|mrf|sweep' \
     --output-on-failure -j "$(nproc)"
 
 echo "Address/UB sanitizer check passed."

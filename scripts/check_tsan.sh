@@ -17,12 +17,13 @@ cmake -B "${BUILD_DIR}" -S "${SOURCE_DIR}" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "${BUILD_DIR}" -j \
     --target runtime_test robustness_test mrf_test fast_sweep_test simd_sweep_test \
-    workload_test
+    workload_test extensions_test integration_test
 
-# Only the labelled (runtime + mrf) tests: the suites that exercise
-# the thread pool, the chromatic executor, and the sampler kernels
-# it drives.
-ctest --test-dir "${BUILD_DIR}" -L 'runtime|mrf' \
+# Only the labelled (runtime + mrf + sweep) tests: the suites that
+# exercise the thread pool, the chromatic executor, the sampler
+# kernels it drives, and the other wrappers of the sweep core
+# (RsuGibbsSampler in Isa and Direct mode, AcceleratorSim).
+ctest --test-dir "${BUILD_DIR}" -L 'runtime|mrf|sweep' \
     --output-on-failure -j "$(nproc)"
 
 echo "ThreadSanitizer check passed."

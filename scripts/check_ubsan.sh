@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Rebuild the mrf/runtime-labelled tests under
+# Rebuild the mrf/runtime/sweep-labelled tests under
 # UndefinedBehaviorSanitizer alone and run them. The SIMD sweep
 # kernels lean on integer edge cases ASan does not see — 128-bit
 # draw scaling, Q32 weight accumulation, lane widening/narrowing —
@@ -21,11 +21,13 @@ cmake -B "${BUILD_DIR}" -S "${SOURCE_DIR}" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build "${BUILD_DIR}" -j \
     --target mrf_test runtime_test robustness_test fast_sweep_test simd_sweep_test \
-    workload_test
+    workload_test extensions_test integration_test
 
-# Only the labelled (mrf + runtime) tests: the sampler kernels, the
-# lookup tables, and the chromatic executor that drives them.
-ctest --test-dir "${BUILD_DIR}" -L 'runtime|mrf' \
+# Only the labelled (mrf + runtime + sweep) tests: the sampler
+# kernels, the lookup tables, and every wrapper of the sweep core
+# that drives them (the chromatic executor, RsuGibbsSampler in Isa
+# and Direct mode, AcceleratorSim).
+ctest --test-dir "${BUILD_DIR}" -L 'runtime|mrf|sweep' \
     --output-on-failure -j "$(nproc)"
 
 echo "UndefinedBehaviorSanitizer check passed."

@@ -2,30 +2,45 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
+
+#include "mrf/rsu_gibbs.h"
 
 namespace rsu::arch {
 
-AcceleratorSim::AcceleratorSim(rsu::mrf::GridMrf &mrf,
-                               const AcceleratorSimConfig &config)
-    : mrf_(mrf), config_(config), data2_(mrf.numLabels())
+namespace {
+
+/** Unit u's seed, config.seed + u. Validates @p config first, so a
+ * bad farm throws before any unit or table is built. */
+std::vector<uint64_t>
+unitSeeds(const AcceleratorSimConfig &config)
 {
-    if (config_.num_units < 1)
+    if (config.num_units < 1)
         throw std::invalid_argument("AcceleratorSim: need units");
-    if (config_.frequency_ghz <= 0.0 || config_.mem_bw_gbs <= 0.0)
+    if (config.frequency_ghz <= 0.0 || config.mem_bw_gbs <= 0.0)
         throw std::invalid_argument("AcceleratorSim: bad "
                                     "configuration");
+    std::vector<uint64_t> seeds(config.num_units);
+    for (int u = 0; u < config.num_units; ++u)
+        seeds[u] = config.seed + u;
+    return seeds;
+}
 
-    rsu::core::RsuGConfig unit_config = config_.unit;
-    unit_config.energy = mrf_.config().energy;
-    units_.reserve(config_.num_units);
-    for (int u = 0; u < config_.num_units; ++u) {
-        units_.push_back(std::make_unique<rsu::core::RsuG>(
-            unit_config, config_.seed + u));
-        units_.back()->initialize(mrf_.numLabels(),
-                                  mrf_.temperature());
-        units_.back()->setLabelCodes(mrf_.labelCodes());
-    }
+uint64_t
+busyCycles(const rsu::core::RsuG &unit)
+{
+    return unit.stats().issue_cycles + unit.stats().stall_cycles;
+}
 
+} // namespace
+
+AcceleratorSim::AcceleratorSim(rsu::mrf::GridMrf &mrf,
+                               const AcceleratorSimConfig &config)
+    : mrf_(mrf), config_(config),
+      core_(mrf,
+            rsu::mrf::RsuGibbsSampler::unitConfigFor(mrf, config.unit),
+            unitSeeds(config))
+{
     // Paper section 8.2 byte accounting: 1 B observed data + 4 B
     // neighbour labels, plus one byte per candidate when data2
     // varies per label (e.g. motion's 49 destination pixels).
@@ -41,34 +56,22 @@ AcceleratorSim::sweep()
 {
     const int n_units = numUnits();
     std::vector<uint64_t> busy_before(n_units);
-    for (int u = 0; u < n_units; ++u) {
-        busy_before[u] = units_[u]->stats().issue_cycles +
-                         units_[u]->stats().stall_cycles;
-    }
+    for (int u = 0; u < n_units; ++u)
+        busy_before[u] = busyCycles(unit(u));
 
     // Checkerboard: all even-parity sites (round-robin across
     // units), then all odd-parity sites.
     int counter = 0;
-    for (int parity = 0; parity < 2; ++parity) {
-        for (int y = 0; y < mrf_.height(); ++y) {
-            for (int x = 0; x < mrf_.width(); ++x) {
-                if (((x + y) & 1) != parity)
-                    continue;
-                auto &unit = *units_[counter % n_units];
-                ++counter;
-                const auto in = mrf_.referencedInputsAt(x, y);
-                mrf_.data2At(x, y, data2_.data());
-                mrf_.setLabel(x, y,
-                              unit.sample(in, data2_.data()));
-            }
-        }
-    }
+    core_.sweep([&](auto &&interior, auto &&border) {
+        rsu::mrf::forEachSiteSplit(
+            mrf_.width(), mrf_.height(), rsu::mrf::Schedule::Checkerboard,
+            [&](int x, int y) { interior(counter++ % n_units, x, y); },
+            [&](int x, int y) { border(counter++ % n_units, x, y); });
+    });
 
     AcceleratorIterationStats stats;
     for (int u = 0; u < n_units; ++u) {
-        const uint64_t busy = units_[u]->stats().issue_cycles +
-                              units_[u]->stats().stall_cycles -
-                              busy_before[u];
+        const uint64_t busy = busyCycles(unit(u)) - busy_before[u];
         stats.total_cycles += busy;
         stats.critical_cycles =
             std::max(stats.critical_cycles, busy);

@@ -5,9 +5,10 @@
  * The paper bounds the accelerator analytically (section 8.2); this
  * module *simulates* it: a farm of RSU-G units sweeps an MRF in
  * checkerboard order, same-parity sites distributed round-robin
- * across the units. Every conditional draw runs through a real
- * emulated unit (so results are statistically identical to a
- * single-unit run up to RNG streams), and per-unit cycle counters
+ * across the units — one mrf::SweepCore device chain per unit.
+ * Every conditional draw runs through a real emulated unit (so
+ * results are statistically identical to a single-unit run up to
+ * RNG streams), and per-unit cycle counters
  * give the iteration's critical path, which combines with the
  * per-site operand traffic to reproduce — or refute — the analytic
  * bandwidth bound.
@@ -17,11 +18,10 @@
 #define RSU_ARCH_ACCEL_SIM_H
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "core/rsu_g.h"
 #include "mrf/grid_mrf.h"
+#include "mrf/sweep_core.h"
 
 namespace rsu::arch {
 
@@ -80,18 +80,15 @@ class AcceleratorSim
      * per-candidate data2 stream when the application needs it). */
     int bytesPerSite() const { return bytes_per_site_; }
 
-    int numUnits() const
-    {
-        return static_cast<int>(units_.size());
-    }
+    int numUnits() const { return core_.chains(); }
 
-    rsu::core::RsuG &unit(int i) { return *units_[i]; }
+    /** Unit @p i (throws std::out_of_range for a bad index). */
+    rsu::core::RsuG &unit(int i) { return core_.unit(i); }
 
   private:
     rsu::mrf::GridMrf &mrf_;
     AcceleratorSimConfig config_;
-    std::vector<std::unique_ptr<rsu::core::RsuG>> units_;
-    std::vector<uint8_t> data2_;
+    rsu::mrf::SweepCore core_;
     int bytes_per_site_;
     double last_utilization_ = 0.0;
 };

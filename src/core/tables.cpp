@@ -70,7 +70,7 @@ ExpTable::rebuild(double temperature, uint64_t version)
         throw std::invalid_argument("ExpTable: temperature must be "
                                     "positive");
     values_.resize(kEnergyMax + 1);
-    // The exact expression GibbsSampler::updateSiteWith evaluates
+    // The exact expression the Reference sweep kernel evaluates
     // per candidate: identical input double -> identical output
     // bits, which is what makes the fast path bit-exact.
     for (int e = 0; e <= kEnergyMax; ++e)

@@ -4,8 +4,8 @@
  *
  * Two acceleration layers share one set of precomputed tables:
  *
- * - The **Table** path is *bit-identical* to
- *   GibbsSampler::updateSiteWith: energies are exact integers, so
+ * - The **Table** path is *bit-identical* to the Reference kernel
+ *   (mrf/sweep_core.h): energies are exact integers, so
  *   table lookups reproduce the reference sums exactly, the exp
  *   table stores the very doubles std::exp would return, and the
  *   discrete draw consumes the RNG identically. Any (seed,
@@ -38,8 +38,7 @@
  * by any number of runtime shards concurrently. sync() — which
  * rebuilds the exp tables when the model's temperatureVersion() has
  * moved (annealing) — must be called from one thread between
- * sweeps; the sequential and chromatic samplers both do this at
- * sweep start.
+ * sweeps; SweepCore::sweep() does this at sweep start.
  *
  * SamplerWork counters record the *logical* baseline costs (m
  * energy evaluations and m exp calls per site) even though the fast
@@ -57,12 +56,42 @@
 
 #include "core/simd.h"
 #include "core/tables.h"
-#include "mrf/gibbs.h"
 #include "mrf/grid_mrf.h"
 #include "rng/block.h"
 #include "rng/xoshiro256.h"
 
 namespace rsu::mrf {
+
+/** Work performed by a sampler (inputs to the timing models).
+ * Counts are *logical* baseline operations: the table-driven fast
+ * path reports the same energy_evals/exp_calls as the reference
+ * path it bit-matches, so the architecture cost models see one
+ * workload regardless of which software realization ran. */
+struct SamplerWork
+{
+    uint64_t site_updates = 0;
+    uint64_t energy_evals = 0;  //!< per-candidate energy computations
+    uint64_t exp_calls = 0;     //!< transcendental evaluations
+    uint64_t random_draws = 0;  //!< uniform variates consumed
+
+    SamplerWork &
+    operator+=(const SamplerWork &other)
+    {
+        site_updates += other.site_updates;
+        energy_evals += other.energy_evals;
+        exp_calls += other.exp_calls;
+        random_draws += other.random_draws;
+        return *this;
+    }
+};
+
+/** Which software realization of the Gibbs inner loop to run. */
+enum class SweepPath {
+    Reference, //!< virtual data2 + EnergyUnit + std::exp per candidate
+    Table,     //!< precomputed tables, bit-identical results (fast)
+    Simd,      //!< vectorized Q32 fixed-point tables (fastest);
+               //!< identical across ISAs, not bit-identical to Table
+};
 
 namespace detail {
 using InteriorSampleFn = int (*)(const uint16_t *, const int32_t *,
@@ -166,8 +195,7 @@ class SweepTables
     /**
      * Resample lattice-interior site (x, y) — all four neighbours
      * must exist. Branch-free candidate loop: five table loads and
-     * an add per candidate. Bit-identical to
-     * GibbsSampler::updateSiteWith.
+     * an add per candidate. Bit-identical to the Reference kernel.
      */
     Label updateInterior(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
                          double *weights, SamplerWork &work, int x,
@@ -181,18 +209,6 @@ class SweepTables
     Label updateBorder(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
                        double *weights, SamplerWork &work, int x,
                        int y) const;
-
-    /** updateInterior/updateBorder dispatch on the coordinates. */
-    Label
-    updateSite(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
-               double *weights, SamplerWork &work, int x, int y) const
-    {
-        const bool interior = x > 0 && x < width_ - 1 && y > 0 &&
-                              y < height_ - 1;
-        return interior
-                   ? updateInterior(mrf, rng, weights, work, x, y)
-                   : updateBorder(mrf, rng, weights, work, x, y);
-    }
 
     /**
      * Simd-path interior update: the dispatched vector kernel
@@ -254,21 +270,6 @@ class SweepTables
                            rsu::rng::BlockRng &block,
                            uint32_t *weights, SamplerWork &work,
                            int x, int y) const;
-
-    /** updateInteriorSimd/updateBorderSimd dispatch on the
-     * coordinates. */
-    Label
-    updateSiteSimd(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
-                   rsu::rng::BlockRng &block, uint32_t *weights,
-                   SamplerWork &work, int x, int y) const
-    {
-        const bool interior = x > 0 && x < width_ - 1 && y > 0 &&
-                              y < height_ - 1;
-        return interior ? updateInteriorSimd(mrf, rng, block,
-                                             weights, work, x, y)
-                        : updateBorderSimd(mrf, rng, block, weights,
-                                           work, x, y);
-    }
 
     int paddedLabels() const { return set_->paddedLabels(); }
     const SweepTableSet &set() const { return *set_; }

@@ -1,104 +1,14 @@
 #include "mrf/gibbs.h"
 
-#include <cmath>
-
-#include "mrf/fast_sweep.h"
-#include "rng/discrete.h"
+#include "rng/streams.h"
 
 namespace rsu::mrf {
 
 GibbsSampler::GibbsSampler(GridMrf &mrf, uint64_t seed,
                            Schedule schedule, SweepPath path)
-    : mrf_(mrf), rng_(seed), schedule_(schedule), path_(path),
-      weights_(mrf.numLabels())
+    : schedule_(schedule), path_(path),
+      core_(mrf, rsu::rng::splitStreams(seed, 1), path)
 {
-    if (path_ != SweepPath::Reference)
-        tables_ = std::make_unique<SweepTables>(mrf_);
-    if (path_ == SweepPath::Simd)
-        fixed_weights_.resize(tables_->paddedLabels());
-}
-
-GibbsSampler::~GibbsSampler() = default;
-GibbsSampler::GibbsSampler(GibbsSampler &&) noexcept = default;
-
-Label
-GibbsSampler::updateSiteWith(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
-                             double *weights, SamplerWork &work,
-                             int x, int y)
-{
-    const int m = mrf.numLabels();
-    const double t = mrf.temperature();
-    EnergyInputs in = mrf.inputsAt(x, y);
-    for (int i = 0; i < m; ++i) {
-        const Label code = mrf.codeOf(i);
-        in.data2 = mrf.singleton().data2(x, y, code);
-        const Energy e = mrf.energyUnit().evaluate(code, in);
-        weights[i] = std::exp(-static_cast<double>(e) / t);
-    }
-    work.energy_evals += m;
-    work.exp_calls += m;
-
-    const int choice = rsu::rng::sampleDiscreteLinear(rng, weights, m);
-    ++work.random_draws;
-    ++work.site_updates;
-
-    const Label l = mrf.codeOf(choice);
-    mrf.setLabel(x, y, l);
-    return l;
-}
-
-Label
-GibbsSampler::updateSite(int x, int y)
-{
-    if (path_ == SweepPath::Simd) {
-        tables_->sync();
-        return tables_->updateSiteSimd(mrf_, rng_, block_,
-                                       fixed_weights_.data(), work_,
-                                       x, y);
-    }
-    if (tables_) {
-        tables_->sync();
-        return tables_->updateSite(mrf_, rng_, weights_.data(),
-                                   work_, x, y);
-    }
-    return updateSiteWith(mrf_, rng_, weights_.data(), work_, x, y);
-}
-
-void
-GibbsSampler::sweep()
-{
-    if (path_ == SweepPath::Simd) {
-        tables_->sync();
-        forEachSiteSplit(
-            mrf_.width(), mrf_.height(), schedule_,
-            [this](int x, int y) {
-                tables_->updateInteriorSimd(mrf_, rng_, block_,
-                                            fixed_weights_.data(),
-                                            work_, x, y);
-            },
-            [this](int x, int y) {
-                tables_->updateBorderSimd(mrf_, rng_, block_,
-                                          fixed_weights_.data(),
-                                          work_, x, y);
-            });
-        return;
-    }
-    if (tables_) {
-        tables_->sync();
-        forEachSiteSplit(
-            mrf_.width(), mrf_.height(), schedule_,
-            [this](int x, int y) {
-                tables_->updateInterior(mrf_, rng_, weights_.data(),
-                                        work_, x, y);
-            },
-            [this](int x, int y) {
-                tables_->updateBorder(mrf_, rng_, weights_.data(),
-                                      work_, x, y);
-            });
-        return;
-    }
-    forEachSite(mrf_.width(), mrf_.height(), schedule_,
-                [this](int x, int y) { updateSite(x, y); });
 }
 
 void
@@ -106,19 +16,6 @@ GibbsSampler::run(int n)
 {
     for (int i = 0; i < n; ++i)
         sweep();
-}
-
-void
-GibbsSampler::setTemperature(double t)
-{
-    mrf_.setTemperature(t);
-}
-
-void
-GibbsSampler::setSimdIsa(rsu::core::SimdIsa isa)
-{
-    if (tables_)
-        tables_->setSimdIsa(isa);
 }
 
 } // namespace rsu::mrf

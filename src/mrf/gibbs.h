@@ -17,40 +17,18 @@
 #define RSU_MRF_GIBBS_H
 
 #include <cstdint>
-#include <memory>
 
 #include "core/simd.h"
+#include "mrf/fast_sweep.h"
 #include "mrf/grid_mrf.h"
 #include "mrf/schedule.h"
-#include "rng/block.h"
+#include "mrf/sweep_core.h"
 #include "rng/xoshiro256.h"
 
 namespace rsu::mrf {
 
-class SweepTables;
-
-/** Work performed by a sampler (inputs to the timing models).
- * Counts are *logical* baseline operations: the table-driven fast
- * path reports the same energy_evals/exp_calls as the reference
- * path it bit-matches, so the architecture cost models see one
- * workload regardless of which software realization ran. */
-struct SamplerWork
-{
-    uint64_t site_updates = 0;
-    uint64_t energy_evals = 0;  //!< per-candidate energy computations
-    uint64_t exp_calls = 0;     //!< transcendental evaluations
-    uint64_t random_draws = 0;  //!< uniform variates consumed
-};
-
-/** Which software realization of the Gibbs inner loop to run. */
-enum class SweepPath {
-    Reference, //!< virtual data2 + EnergyUnit + std::exp per candidate
-    Table,     //!< precomputed tables, bit-identical results (fast)
-    Simd,      //!< vectorized Q32 fixed-point tables (fastest);
-               //!< identical across ISAs, not bit-identical to Table
-};
-
-/** Exact full-conditional Gibbs sweeps over a GridMrf. */
+/** Exact full-conditional Gibbs sweeps over a GridMrf: one
+ * SweepCore chain (mrf/sweep_core.h) seeded with @p seed. */
 class GibbsSampler
 {
   public:
@@ -70,30 +48,15 @@ class GibbsSampler
     GibbsSampler(GridMrf &mrf, uint64_t seed,
                  Schedule schedule = Schedule::Checkerboard,
                  SweepPath path = SweepPath::Reference);
-    ~GibbsSampler();
 
-    GibbsSampler(GibbsSampler &&) noexcept;
+    GibbsSampler(GibbsSampler &&) noexcept = default;
     GibbsSampler &operator=(GibbsSampler &&) = delete;
 
     /** Resample one site from its full conditional. */
-    Label updateSite(int x, int y);
-
-    /**
-     * The site-update kernel with externally supplied state: draw a
-     * new label for (x, y) of @p mrf from its full conditional using
-     * @p rng, record costs in @p work, and install it. @p weights is
-     * caller-owned scratch with at least numLabels() entries. The
-     * chromatic runtime (src/runtime/) calls this with one RNG
-     * stream and scratch buffer per worker; updateSite() is this
-     * with the sampler's own members.
-     */
-    static Label updateSiteWith(GridMrf &mrf,
-                                rsu::rng::Xoshiro256 &rng,
-                                double *weights, SamplerWork &work,
-                                int x, int y);
+    Label updateSite(int x, int y) { return core_.updateSite(x, y); }
 
     /** One MCMC iteration: every site updated once. */
-    void sweep();
+    void sweep() { core_.sweepInOrder(schedule_); }
 
     /** Run @p n sweeps. */
     void run(int n);
@@ -103,7 +66,7 @@ class GibbsSampler
      * Forwards to GridMrf::setTemperature; the version bump makes
      * the Table path rebuild its exp table at the next update.
      */
-    void setTemperature(double t);
+    void setTemperature(double t) { core_.setTemperature(t); }
 
     SweepPath path() const { return path_; }
 
@@ -113,24 +76,18 @@ class GibbsSampler
      * choice yields identical labels — the lane-equivalence tests
      * force Scalar here against the widest detected ISA.
      */
-    void setSimdIsa(rsu::core::SimdIsa isa);
+    void setSimdIsa(rsu::core::SimdIsa isa) { core_.setSimdIsa(isa); }
 
     /** The fast paths' tables (nullptr on the Reference path). */
-    const SweepTables *tables() const { return tables_.get(); }
+    const SweepTables *tables() const { return core_.tables(); }
 
-    const SamplerWork &work() const { return work_; }
-    rsu::rng::Xoshiro256 &rng() { return rng_; }
+    const SamplerWork &work() const { return core_.chain(0).work; }
+    rsu::rng::Xoshiro256 &rng() { return core_.chain(0).rng; }
 
   private:
-    GridMrf &mrf_;
-    rsu::rng::Xoshiro256 rng_;
     Schedule schedule_;
     SweepPath path_;
-    SamplerWork work_;
-    std::vector<double> weights_; // scratch, sized num_labels
-    std::unique_ptr<SweepTables> tables_;  // Table/Simd paths only
-    std::vector<uint32_t> fixed_weights_;  // Simd scratch (padded)
-    rsu::rng::BlockRng block_;             // Simd draw buffer
+    SweepCore core_;
 };
 
 } // namespace rsu::mrf

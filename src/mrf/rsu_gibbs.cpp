@@ -1,7 +1,6 @@
 #include "mrf/rsu_gibbs.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace rsu::mrf {
 
@@ -11,16 +10,9 @@ using rsu::core::RsuReg;
 
 RsuGibbsSampler::RsuGibbsSampler(GridMrf &mrf, rsu::core::RsuG &unit,
                                  Schedule schedule, Mode mode)
-    : mrf_(mrf), unit_(unit), device_(unit), schedule_(schedule),
-      mode_(mode), data2_(mrf.buildData2Table())
+    : mrf_(mrf), core_(mrf, unit), device_(unit), schedule_(schedule),
+      mode_(mode)
 {
-    if (!(unit_.config().energy == mrf_.config().energy))
-        throw std::invalid_argument(
-            "RsuGibbsSampler: the RSU-G's energy datapath "
-            "configuration must match the model's (use "
-            "unitConfigFor())");
-    unit_.initialize(mrf_.numLabels(), mrf_.temperature());
-    unit_.setLabelCodes(mrf_.labelCodes());
 }
 
 rsu::core::RsuGConfig
@@ -32,49 +24,14 @@ RsuGibbsSampler::unitConfigFor(const GridMrf &mrf,
 }
 
 Label
-RsuGibbsSampler::updateSiteWith(GridMrf &mrf, rsu::core::RsuG &unit,
-                                uint8_t *data2, SamplerWork &work,
-                                int x, int y)
-{
-    const EnergyInputs in = mrf.referencedInputsAt(x, y);
-    mrf.data2At(x, y, data2);
-
-    const Label l = unit.sample(in, data2);
-
-    work.energy_evals += mrf.numLabels();
-    ++work.random_draws;
-    ++work.site_updates;
-
-    mrf.setLabel(x, y, l);
-    return l;
-}
-
-Label
-RsuGibbsSampler::updateSiteWith(GridMrf &mrf, rsu::core::RsuG &unit,
-                                const rsu::core::Data2Table &staged,
-                                SamplerWork &work, int x, int y)
-{
-    const EnergyInputs in = mrf.referencedInputsAt(x, y);
-
-    const Label l = unit.sample(in, staged.row(mrf.index(x, y)));
-
-    work.energy_evals += mrf.numLabels();
-    ++work.random_draws;
-    ++work.site_updates;
-
-    mrf.setLabel(x, y, l);
-    return l;
-}
-
-Label
 RsuGibbsSampler::updateSite(int x, int y)
 {
     if (mode_ == Mode::Direct)
-        return updateSiteWith(mrf_, unit_, data2_, work_, x, y);
+        return core_.updateSite(x, y);
 
     const int m = mrf_.numLabels();
     const EnergyInputs in = mrf_.referencedInputsAt(x, y);
-    const uint8_t *data2 = data2_.row(mrf_.index(x, y));
+    const uint8_t *data2 = core_.data2().row(mrf_.index(x, y));
 
     Label l;
     {
@@ -95,9 +52,10 @@ RsuGibbsSampler::updateSite(int x, int y)
         l = device_.readResult().label;
     }
 
-    work_.energy_evals += m;
-    ++work_.random_draws;
-    ++work_.site_updates;
+    SamplerWork &work = core_.chain(0).work;
+    work.energy_evals += m;
+    ++work.random_draws;
+    ++work.site_updates;
 
     mrf_.setLabel(x, y, l);
     return l;
@@ -106,6 +64,10 @@ RsuGibbsSampler::updateSite(int x, int y)
 void
 RsuGibbsSampler::sweep()
 {
+    if (mode_ == Mode::Direct) {
+        core_.sweepInOrder(schedule_);
+        return;
+    }
     forEachSite(mrf_.width(), mrf_.height(), schedule_,
                 [this](int x, int y) { updateSite(x, y); });
 }
@@ -115,20 +77,6 @@ RsuGibbsSampler::run(int n)
 {
     for (int i = 0; i < n; ++i)
         sweep();
-}
-
-uint64_t
-RsuGibbsSampler::rsuInstructions() const
-{
-    return device_.instructionCount();
-}
-
-void
-RsuGibbsSampler::setTemperature(double t)
-{
-    mrf_.setTemperature(t);
-    unit_.initialize(mrf_.numLabels(), t);
-    unit_.setLabelCodes(mrf_.labelCodes());
 }
 
 } // namespace rsu::mrf

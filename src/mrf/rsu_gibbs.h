@@ -25,10 +25,13 @@
 #include "mrf/gibbs.h"
 #include "mrf/grid_mrf.h"
 #include "mrf/schedule.h"
+#include "mrf/sweep_core.h"
 
 namespace rsu::mrf {
 
-/** Gibbs sampler whose conditional draws run on an RSU-G. */
+/** Gibbs sampler whose conditional draws run on an RSU-G. Direct
+ * mode is one SweepCore device chain (mrf/sweep_core.h); Isa mode
+ * keeps its own instruction-level site update. */
 class RsuGibbsSampler
 {
   public:
@@ -61,32 +64,6 @@ class RsuGibbsSampler
     /** Resample one site through the device. */
     Label updateSite(int x, int y);
 
-    /**
-     * The Direct-mode site-update kernel with externally supplied
-     * state: draw a new label for (x, y) of @p mrf through @p unit
-     * (whose internal RNG is the entropy source), record costs in
-     * @p work, and install it. @p data2 is caller-owned scratch with
-     * at least numLabels() entries. The chromatic runtime
-     * (src/runtime/) gives each worker its own emulated RSU-G —
-     * exactly the paper's array-of-units organization — and drives
-     * its row band through this entry point.
-     */
-    static Label updateSiteWith(GridMrf &mrf, rsu::core::RsuG &unit,
-                                uint8_t *data2, SamplerWork &work,
-                                int x, int y);
-
-    /**
-     * updateSiteWith() against staged data2: the site's candidate
-     * operands come from a precomputed Data2Table row (built once
-     * by GridMrf::buildData2Table()) instead of per-site virtual
-     * data2() calls — zero-copy, identical operand values, so
-     * results are bit-identical. Both this sampler and the
-     * chromatic runtime stage their sweeps this way.
-     */
-    static Label updateSiteWith(GridMrf &mrf, rsu::core::RsuG &unit,
-                                const rsu::core::Data2Table &staged,
-                                SamplerWork &work, int x, int y);
-
     /** One MCMC iteration: every site updated once. */
     void sweep();
 
@@ -94,26 +71,28 @@ class RsuGibbsSampler
     void run(int n);
 
     /** Dynamic RSU instructions issued (Isa mode only). */
-    uint64_t rsuInstructions() const;
+    uint64_t
+    rsuInstructions() const
+    {
+        return device_.instructionCount();
+    }
 
     /**
      * Install a new Gibbs temperature: updates the model and
      * rebuilds the unit's intensity map (a per-application
      * re-initialization, section 6.1). Used by annealing drivers.
      */
-    void setTemperature(double t);
+    void setTemperature(double t) { core_.setTemperature(t); }
 
-    const SamplerWork &work() const { return work_; }
-    rsu::core::RsuG &unit() { return unit_; }
+    const SamplerWork &work() const { return core_.chain(0).work; }
+    rsu::core::RsuG &unit() { return core_.unit(0); }
 
   private:
     GridMrf &mrf_;
-    rsu::core::RsuG &unit_;
+    SweepCore core_;
     rsu::core::RsuDevice device_;
     Schedule schedule_;
     Mode mode_;
-    SamplerWork work_;
-    rsu::core::Data2Table data2_; // staged per-site operands
 };
 
 } // namespace rsu::mrf

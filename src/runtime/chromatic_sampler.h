@@ -2,13 +2,14 @@
  * @file
  * Multi-threaded chromatic Gibbs sampling over a GridMrf.
  *
- * Binds the ParallelSweepExecutor to the two sampler backends: the
- * software-reference Gibbs kernel and the emulated RSU-G device. Each
- * shard owns the full per-worker state a correct parallel chain
- * needs — an RNG stream (jump()-separated, see rng/streams.h) or a
- * whole emulated RSU-G device, candidate-weight scratch, and its own
- * work counters — so a sweep performs zero cross-shard writes except
- * the chromatically safe label-field updates themselves.
+ * Binds the ParallelSweepExecutor to the sweep core
+ * (mrf/sweep_core.h): one core chain per shard, driven by
+ * ParallelSweepExecutor::sweepSplit. Each chain owns the full
+ * per-worker state a correct parallel chain needs — an RNG stream
+ * (jump()-separated, see rng/streams.h) or a whole emulated RSU-G
+ * device, candidate-weight scratch, and its own work counters — so a
+ * sweep performs zero cross-shard writes except the chromatically
+ * safe label-field updates themselves.
  *
  * With one shard the chain consumes entropy in exactly the sequential
  * samplers' order, so results are bit-identical to GibbsSampler /
@@ -22,14 +23,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/rsu_g.h"
-#include "core/tables.h"
 #include "mrf/fast_sweep.h"
 #include "mrf/gibbs.h"
 #include "mrf/grid_mrf.h"
-#include "rng/xoshiro256.h"
+#include "mrf/sweep_core.h"
 #include "runtime/parallel_sweep.h"
 
 namespace rsu::runtime {
@@ -98,23 +97,29 @@ class ChromaticGibbsSampler
      * backend this re-initializes every shard's unit intensity map,
      * mirroring RsuGibbsSampler::setTemperature.
      */
-    void setTemperature(double t);
+    void setTemperature(double t) { core_.setTemperature(t); }
 
     /** Work counters summed over all shards. */
-    rsu::mrf::SamplerWork work() const;
+    rsu::mrf::SamplerWork work() const { return core_.work(); }
 
     SamplerKind kind() const { return kind_; }
     rsu::mrf::SweepPath path() const { return path_; }
-    int shards() const { return static_cast<int>(shards_.size()); }
+    int shards() const { return core_.chains(); }
 
     /**
      * Select the Simd path's kernel ISA (no-op on other paths).
      * Any choice yields identical labels; call between sweeps.
      */
-    void setSimdIsa(rsu::core::SimdIsa isa);
+    void
+    setSimdIsa(rsu::core::SimdIsa isa)
+    {
+        core_.setSimdIsa(isa);
+    }
 
-    /** Shard @p s's emulated device (RsuGibbs only; tests/wear). */
-    rsu::core::RsuG &unit(int s) { return *shards_[s].unit; }
+    /** Shard @p s's emulated device (RsuGibbs only; tests/wear).
+     * Throws std::out_of_range for a bad @p s and std::logic_error
+     * on a SoftwareGibbs sampler. */
+    rsu::core::RsuG &unit(int s) { return core_.unit(s); }
 
     /**
      * Inject the per-shard slice of a device fault campaign
@@ -122,37 +127,30 @@ class ChromaticGibbsSampler
      * plan.faultsFor(s, width), so the afflicted lanes depend only
      * on (plan.seed, shard index) — stable across pool sizes.
      */
-    void injectFaults(const rsu::ret::FaultPlan &plan);
+    void
+    injectFaults(const rsu::ret::FaultPlan &plan)
+    {
+        core_.injectFaults(plan);
+    }
 
     /** True once any shard's device declared itself failed
      * (always false for SoftwareGibbs). */
-    bool deviceFailed() const;
+    bool deviceFailed() const { return core_.deviceFailed(); }
 
     /** Device health/occupancy counters summed over all shards
      * (zeros for SoftwareGibbs). */
-    rsu::core::RsuGStats deviceStats() const;
+    rsu::core::RsuGStats
+    deviceStats() const
+    {
+        return core_.deviceStats();
+    }
 
   private:
-    /** Everything one worker touches during a phase. */
-    struct Shard
-    {
-        rsu::rng::Xoshiro256 rng{0};
-        std::vector<double> weights;      // SoftwareGibbs scratch
-        std::vector<uint32_t> fixed_weights; // Simd scratch (padded)
-        rsu::rng::BlockRng block;         // Simd draw buffer
-        std::unique_ptr<rsu::core::RsuG> unit; // RsuGibbs device
-        rsu::mrf::SamplerWork work;
-    };
-
     rsu::mrf::GridMrf &mrf_;
     ParallelSweepExecutor &executor_;
     SamplerKind kind_;
     rsu::mrf::SweepPath path_;
-    std::vector<Shard> shards_;
-    // Shared read-only during sweeps; tables_ is re-synced (exp
-    // rebuild on temperature change) single-threaded at sweep start.
-    std::unique_ptr<rsu::mrf::SweepTables> tables_; // Table/Simd
-    std::unique_ptr<rsu::core::Data2Table> data2_;    // RsuGibbs
+    rsu::mrf::SweepCore core_;
 };
 
 } // namespace rsu::runtime

@@ -416,13 +416,7 @@ InferenceEngine::execute(QueuedJob &queued)
     }
     // Fold in the current sampler's counters (for degraded jobs,
     // result.work already holds the device-phase counters).
-    {
-        const auto tail = sampler->work();
-        result.work.site_updates += tail.site_updates;
-        result.work.energy_evals += tail.energy_evals;
-        result.work.exp_calls += tail.exp_calls;
-        result.work.random_draws += tail.random_draws;
-    }
+    result.work += sampler->work();
     if (job.sampler == SamplerKind::RsuGibbs && !result.degraded)
         result.device_stats = sampler->deviceStats();
     result.phase_timing = executor.timing();

@@ -392,6 +392,51 @@ TEST(AcceleratorSim, ByteAccountingMatchesThePaper)
     EXPECT_EQ(motion_sim.bytesPerSite(), 54); // paper section 8.2
 }
 
+TEST(AcceleratorSim, OneUnitMatchesRsuGibbsSamplerDirect)
+{
+    // A one-unit farm is the single-chain device sweep: same labels
+    // as RsuGibbsSampler (Direct) on an identically seeded unit, and
+    // its critical path is that unit's busy cycles.
+    const auto check = [](const rsu::mrf::MrfConfig &config,
+                          const rsu::mrf::SingletonModel &model,
+                          uint64_t seed) {
+        rsu::mrf::GridMrf sim_mrf(config, model);
+        sim_mrf.initializeMaximumLikelihood();
+        rsu::arch::AcceleratorSimConfig sim_config;
+        sim_config.num_units = 1;
+        sim_config.seed = seed;
+        rsu::arch::AcceleratorSim sim(sim_mrf, sim_config);
+        const auto stats = sim.run(5);
+
+        rsu::mrf::GridMrf mrf(config, model);
+        mrf.initializeMaximumLikelihood();
+        rsu::core::RsuG unit(
+            rsu::mrf::RsuGibbsSampler::unitConfigFor(mrf), seed);
+        rsu::mrf::RsuGibbsSampler sampler(mrf, unit);
+        sampler.run(5);
+
+        EXPECT_EQ(sim_mrf.labels(), mrf.labels());
+        EXPECT_EQ(stats.critical_cycles,
+                  unit.stats().issue_cycles + unit.stats().stall_cycles);
+        EXPECT_GT(stats.critical_cycles, 0u);
+    };
+
+    rsu::rng::Xoshiro256 rng(29);
+    const auto seg_scene =
+        rsu::vision::makeSegmentationScene(24, 16, 4, 2.5, rng);
+    rsu::vision::SegmentationModel seg_model(seg_scene.image,
+                                             seg_scene.region_means);
+    check(rsu::vision::segmentationConfig(seg_scene.image, 4, 6.0, 6),
+          seg_model, 31);
+
+    const auto motion_scene =
+        rsu::vision::makeMotionScene(16, 16, 1, 3, 0.0, rng);
+    rsu::vision::MotionModel motion_model(motion_scene.frame1,
+                                          motion_scene.frame2, 3);
+    check(rsu::vision::motionConfig(motion_scene.frame1, 3),
+          motion_model, 37);
+}
+
 TEST(AcceleratorSim, MemoryFloorAppearsAtHighUnitCounts)
 {
     rsu::rng::Xoshiro256 rng(19);

@@ -11,6 +11,7 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -197,6 +198,30 @@ TEST(ChromaticSampler, OneShardMatchesSequentialRsuGibbs)
     sampler.run(3);
 
     EXPECT_EQ(sequential.labels(), parallel.labels());
+}
+
+TEST(ChromaticSampler, UnitAccessorChecksKindAndIndex)
+{
+    Problem p(16, 12, 3, 5);
+    GridMrf mrf(p.config, p.model);
+    ThreadPool pool(1);
+    ParallelSweepExecutor executor(pool, 2);
+
+    // A software chain has no device: a logic error, not a range one.
+    ChromaticGibbsSampler software(mrf, executor, 1);
+    EXPECT_THROW(software.unit(0), std::logic_error);
+    try {
+        software.unit(0);
+    } catch (const std::out_of_range &) {
+        ADD_FAILURE() << "software unit(0) reported a bad index";
+    } catch (const std::logic_error &) {
+    }
+
+    ChromaticGibbsSampler device(mrf, executor, 1,
+                                 SamplerKind::RsuGibbs);
+    EXPECT_EQ(device.unit(1).numLabels(), mrf.numLabels());
+    EXPECT_THROW(device.unit(2), std::out_of_range);
+    EXPECT_THROW(device.unit(-1), std::out_of_range);
 }
 
 TEST(ChromaticSampler, DeterministicPerSeedAndShardCount)

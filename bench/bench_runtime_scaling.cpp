@@ -15,10 +15,10 @@
  * where speedup is relative to the 1-thread row of the same size.
  *
  * A second section measures the robustness-layer tax: the same
- * Table-path sweep loop run plain versus "checkpointed" — a live
- * (never-tripped) CancellationToken installed on the executor plus
- * the per-sweep token/deadline checks the InferenceEngine's traced
- * sweep performs (see DESIGN.md section 12). The delta is the price
+ * Table-path sweep loop run plain versus "checkpointed" — the one
+ * per-sweep check the InferenceEngine's traced sweep performs, a
+ * live (never-tripped) CancellationToken load plus a deadline
+ * comparison (see DESIGN.md section 12). The delta is the price
  * every serving job pays for cancellability; the PR 5 acceptance bar
  * is <= 2%. Results go to BENCH_robustness.json as
  *   {"benchmark": "robustness_overhead", "workload": W, ...,
@@ -211,12 +211,11 @@ main(int argc, char **argv)
     // ---- Robustness overhead: the serving layer's per-sweep tax.
     //
     // The InferenceEngine's traced sweep adds, per sweep, one
-    // CancellationToken load, one steady_clock deadline comparison,
-    // and the executor's own pre-phase token check. Measure the
-    // Table-path sweep loop plain vs with exactly those checkpoints
-    // armed (live token, far-future deadline) at the largest
-    // requested size/thread count; best-of-3 per variant to shave
-    // scheduler noise.
+    // CancellationToken load and one steady_clock deadline
+    // comparison. Measure the Table-path sweep loop plain vs with
+    // exactly that checkpoint armed (live token, far-future
+    // deadline) at the largest requested size/thread count;
+    // best-of-5 per variant to shave scheduler noise.
     const int rsize = *std::max_element(sizes.begin(), sizes.end());
     const int rthreads =
         *std::max_element(threads.begin(), threads.end());
@@ -244,7 +243,6 @@ main(int argc, char **argv)
         std::chrono::steady_clock::time_point deadline{};
         if (checkpointed) {
             token = runtime::CancellationToken::make();
-            executor.setCancellationToken(token);
             deadline = std::chrono::steady_clock::now() +
                        std::chrono::hours(24);
         }

@@ -132,7 +132,7 @@ main(int argc, char **argv)
 
     // The drill campaign: every SPAD lane dead and a low failure
     // threshold, so afflicted units declare failure within a few
-    // sweeps and the engine's FallbackToSoftware policy has to act.
+    // sweeps and the engine has to fall back to the software path.
     ret::FaultPlan plan;
     plan.seed = 7;
     plan.stuck_led_fraction = 0.25;

@@ -46,8 +46,7 @@ RsuGStats::operator+=(const RsuGStats &other)
 RsuG::RsuG(const RsuGConfig &config, uint64_t seed)
     : config_(config),
       rng_(seed),
-      energy_unit_(config.energy),
-      lut_(config.lut_entries)
+      energy_unit_(config.energy)
 {
     if (config_.width < 1 || config_.width > kMaxLabels)
         throw std::invalid_argument("RsuG: width out of range");

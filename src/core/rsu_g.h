@@ -53,9 +53,6 @@ struct RsuGConfig
     /** Energy datapath configuration. */
     EnergyConfig energy;
 
-    /** Intensity LUT entry count (256 = 8-bit energies). */
-    int lut_entries = kEnergyMax + 1;
-
     /** RET circuit device parameters. */
     rsu::ret::RetCircuitConfig circuit;
 

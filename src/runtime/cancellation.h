@@ -2,13 +2,14 @@
  * @file
  * Cooperative cancellation and the engine's error taxonomy.
  *
- * A CancellationToken is a shared flag checked at sweep and phase
- * boundaries — never mid-kernel — so a cancelled job always stops at
- * a well-defined point: a job observed to cancel after sweep k holds
- * exactly k sweeps' worth of labels. A default-constructed token is
- * *inert* (no allocation, never cancellable); the fast paths pay a
- * single null-pointer test for it, so jobs that never cancel cost
- * nothing measurable (pinned by the robustness bench).
+ * A CancellationToken is a shared flag the InferenceEngine checks
+ * once before every sweep — never mid-sweep — so a cancelled job
+ * always stops at a well-defined point: a job observed to cancel
+ * after sweep k holds exactly k sweeps' worth of labels. A
+ * default-constructed token is *inert* (no allocation, never
+ * cancellable); checking it is a single null-pointer test, so jobs
+ * that never cancel cost nothing measurable (pinned by the
+ * robustness bench).
  *
  * EngineError is the typed failure vocabulary of the serving layer:
  * every way the engine refuses, abandons, or loses a job maps to one
@@ -70,7 +71,6 @@ enum class EngineErrorCode
     QueueFull,        //!< admission rejected under backpressure
     DeadlineExceeded, //!< deadline passed before the job finished
     Cancelled,        //!< cancelled by the caller or by shutdown
-    DeviceFailed,     //!< RSU device failed and fallback was off
 };
 
 /** Short stable name for an error code (logs, tests). */
@@ -84,8 +84,6 @@ engineErrorCodeName(EngineErrorCode code)
         return "DeadlineExceeded";
     case EngineErrorCode::Cancelled:
         return "Cancelled";
-    case EngineErrorCode::DeviceFailed:
-        return "DeviceFailed";
     }
     return "Unknown";
 }

@@ -24,12 +24,12 @@ ChromaticGibbsSampler::ChromaticGibbsSampler(
 {
 }
 
-bool
+void
 ChromaticGibbsSampler::sweep()
 {
-    return core_.sweep([this](auto &&interior, auto &&border) {
-        return executor_.sweepSplit(mrf_.width(), mrf_.height(),
-                                    interior, border);
+    core_.sweep([this](auto &&interior, auto &&border) {
+        executor_.sweepSplit(mrf_.width(), mrf_.height(), interior,
+                             border);
     });
 }
 
@@ -37,8 +37,7 @@ void
 ChromaticGibbsSampler::run(int n)
 {
     for (int i = 0; i < n; ++i)
-        if (!sweep())
-            return;
+        sweep();
 }
 
 } // namespace rsu::runtime

@@ -80,16 +80,10 @@ class ChromaticGibbsSampler
                           std::shared_ptr<const rsu::mrf::SweepTableSet>
                               table_set = nullptr);
 
-    /**
-     * One MCMC iteration: every site updated once, chromatically.
-     * Returns false (leaving the label field untouched) when the
-     * executor's cancellation token was tripped before the sweep
-     * began; true otherwise.
-     */
-    bool sweep();
+    /** One MCMC iteration: every site updated once, chromatically. */
+    void sweep();
 
-    /** Run up to @p n sweeps; stops early if a sweep reports
-     * cancellation. */
+    /** Run @p n sweeps. */
     void run(int n);
 
     /**

@@ -39,7 +39,7 @@ InferenceEngine::InferenceEngine(Options options)
 
 InferenceEngine::~InferenceEngine()
 {
-    shutdown(options_.shutdown_mode);
+    shutdown(ShutdownMode::Drain);
 }
 
 void
@@ -83,7 +83,7 @@ InferenceEngine::submit(InferenceJob job)
     if (!job.singleton)
         throw std::invalid_argument(
             "InferenceEngine: job needs a singleton model");
-    if (job.deadline_seconds && *job.deadline_seconds < 0.0)
+    if (job.deadline_seconds && !(*job.deadline_seconds >= 0.0))
         throw std::invalid_argument(
             "InferenceEngine: need deadline_seconds >= 0");
 
@@ -92,12 +92,17 @@ InferenceEngine::submit(InferenceJob job)
     queued.control->token = job.cancel.cancellable()
                                 ? job.cancel
                                 : CancellationToken::make();
-    if (job.deadline_seconds)
-        queued.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(*job.deadline_seconds));
+    if (job.deadline_seconds) {
+        using Clock = std::chrono::steady_clock;
+        const auto now = Clock::now();
+        const std::chrono::duration<double> budget(
+            *job.deadline_seconds);
+        // A budget past the clock's range (e.g. +inf) is no deadline.
+        if (budget < Clock::time_point::max() - now)
+            queued.deadline =
+                now +
+                std::chrono::duration_cast<Clock::duration>(budget);
+    }
     queued.job = std::move(job);
 
     JobHandle handle;
@@ -317,11 +322,7 @@ InferenceEngine::execute(QueuedJob &queued)
     else
         mrf.initializeMaximumLikelihood();
 
-    int shards = job.shards;
-    if (shards == 0)
-        shards = options_.default_shards;
-    ParallelSweepExecutor executor(pool_, shards);
-    executor.setCancellationToken(queued.control->token);
+    ParallelSweepExecutor executor(pool_, job.shards);
     auto sampler = std::make_unique<ChromaticGibbsSampler>(
         mrf, executor, job.seed, job.sampler, job.rsu_base,
         job.sweep_path, table_set);
@@ -342,10 +343,6 @@ InferenceEngine::execute(QueuedJob &queued)
             result.degraded || !sampler->deviceFailed())
             return;
         result.device_stats = sampler->deviceStats();
-        if (options_.degradation == DegradationPolicy::FailJob)
-            throw EngineError(EngineErrorCode::DeviceFailed,
-                              "RSU device failed and fallback is "
-                              "disabled");
         result.work = sampler->work();
         if (!table_set)
             table_set = acquireTableSet(mrf, job, result);
@@ -357,19 +354,18 @@ InferenceEngine::execute(QueuedJob &queued)
     };
 
     // One guarded MCMC iteration. Cancellation and deadline are
-    // observed here, between sweeps, so a stopped job always holds
-    // a whole number of sweeps (Interrupt unwinds to the handler
-    // below, through mrf::anneal if need be — in that case the
-    // best-labelling restoration is skipped and the partial result
-    // carries the current field).
+    // observed only here, between sweeps, so a stopped job always
+    // holds a whole number of sweeps (Interrupt unwinds to the
+    // handler below, through mrf::anneal if need be — in that case
+    // the best-labelling restoration is skipped and the partial
+    // result carries the current field).
     const auto traced_sweep = [&] {
         if (queued.control->token.cancelled())
             throw Interrupt{JobOutcome::Cancelled};
         if (queued.deadline &&
             std::chrono::steady_clock::now() >= *queued.deadline)
             throw Interrupt{JobOutcome::DeadlineExceeded};
-        if (!sampler->sweep())
-            throw Interrupt{JobOutcome::Cancelled};
+        sampler->sweep();
         ++result.sweeps_run;
         queued.control->sweeps_done.store(
             result.sweeps_run, std::memory_order_relaxed);

@@ -95,8 +95,8 @@ struct InferenceJob
     /** Entropy seed (streams split per shard, see rng/streams.h). */
     uint64_t seed = 1;
 
-    /** Row-band shard / RNG stream count; 0 = engine default. The
-     * result is bit-reproducible per (seed, shards). */
+    /** Row-band shard / RNG stream count; 0 = the pool's thread
+     * count. The result is bit-reproducible per (seed, shards). */
     int shards = 0;
 
     /** Record totalEnergy() every k sweeps into the energy trace
@@ -132,6 +132,8 @@ struct InferenceJob
      * (outcome = DeadlineExceeded, labels as of the last completed
      * sweep) if the deadline passed mid-run. Checked at sweep
      * boundaries, so a long sweep overruns by at most one sweep.
+     * submit() rejects a negative or NaN budget; one beyond the
+     * steady clock's range (e.g. +inf) means no deadline.
      */
     std::optional<double> deadline_seconds;
 
@@ -159,10 +161,9 @@ struct InferenceJob
      * Device-fault campaign injected into the per-shard RSU-G units
      * before the first sweep (RsuGibbs jobs only; ignored
      * otherwise). Shard s receives plan.faultsFor(s, width). When a
-     * shard's unit subsequently declares itself failed, the
-     * engine's degradation policy decides between transparent
-     * software fallback and failing the job (see
-     * EngineOptions::degradation).
+     * shard's unit subsequently declares itself failed, the engine
+     * finishes the job on the software Table path (see
+     * InferenceResult::degraded).
      */
     std::optional<rsu::ret::FaultPlan> faults;
 };
@@ -210,8 +211,9 @@ struct InferenceResult
     JobOutcome outcome = JobOutcome::Completed;
 
     /** True when a device fault forced this job off its RSU path
-     * onto the software Table path mid-run (see
-     * EngineOptions::degradation). */
+     * onto the software Table path mid-run. The sweeps already taken
+     * on the device are kept — the chain continues from the current
+     * label field. */
     bool degraded = false;
 
     /** Sweeps completed on the device path before degradation
@@ -235,23 +237,12 @@ enum class BackpressurePolicy
     RejectNewest, //!< submit() throws EngineError(QueueFull)
 };
 
-/** What shutdown (and the destructor) does with outstanding work. */
+/** What shutdown() does with outstanding work (the destructor
+ * drains). */
 enum class ShutdownMode
 {
     Drain,     //!< run every queued job to completion, then join
     CancelAll, //!< cancel running jobs, fail queued ones, join
-};
-
-/** What the engine does when a job's RSU device declares failure. */
-enum class DegradationPolicy
-{
-    /** Finish the job on the software Table path, flagging the
-     * result degraded. The sweeps already taken on the device are
-     * kept — the chain continues from the current label field. */
-    FallbackToSoftware,
-
-    /** Resolve the job's future with EngineError(DeviceFailed). */
-    FailJob,
 };
 
 /** InferenceEngine construction parameters. */
@@ -264,10 +255,6 @@ struct EngineOptions
      * on the pool); the rest wait queued. */
     int max_concurrent_jobs = 2;
 
-    /** Default shard count for jobs that leave shards = 0;
-     * 0 = the pool's thread count. */
-    int default_shards = 0;
-
     /** SweepTableSet cache entries kept (LRU eviction); 0 disables
      * caching — every Table/Simd job builds a private set. */
     int table_cache_capacity = 16;
@@ -278,14 +265,6 @@ struct EngineOptions
 
     /** Reaction to a full admission queue. */
     BackpressurePolicy backpressure = BackpressurePolicy::Block;
-
-    /** Destructor behaviour for outstanding jobs; shutdown() can
-     * override explicitly. */
-    ShutdownMode shutdown_mode = ShutdownMode::Drain;
-
-    /** Reaction to an RSU device declaring failure mid-job. */
-    DegradationPolicy degradation =
-        DegradationPolicy::FallbackToSoftware;
 };
 
 /** Table-cache effectiveness counters (see tableCacheStats()). */
@@ -364,10 +343,9 @@ class InferenceEngine
 
     explicit InferenceEngine(Options options = {});
 
-    /** Runs shutdown() in the configured shutdown_mode. Every
-     * outstanding future still resolves (Drain: with its result;
-     * CancelAll: queued jobs with EngineError(Cancelled), running
-     * jobs with a partial Cancelled result). */
+    /** Runs shutdown(Drain): every outstanding job runs and its
+     * future resolves with its result. Call shutdown(CancelAll)
+     * first to abandon outstanding work instead. */
     ~InferenceEngine();
 
     InferenceEngine(const InferenceEngine &) = delete;
@@ -393,10 +371,7 @@ class InferenceEngine
      * resolves still-queued jobs with EngineError(Cancelled).
      * Idempotent; later calls (and the destructor) are no-ops.
      */
-    void shutdown(ShutdownMode mode);
-
-    /** shutdown() in the configured default mode. */
-    void shutdown() { shutdown(options_.shutdown_mode); }
+    void shutdown(ShutdownMode mode = ShutdownMode::Drain);
 
     /** Jobs accepted but not yet finished. */
     int pendingJobs() const;

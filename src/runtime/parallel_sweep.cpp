@@ -1,8 +1,6 @@
 #include "runtime/parallel_sweep.h"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 
 namespace rsu::runtime {
@@ -16,29 +14,11 @@ parallelRowRunner(ThreadPool &pool)
                 fn(i);
             return;
         }
-        const int chunks = std::min(n, pool.size() * 4);
-        const auto bands = shardRows(n, chunks);
-        std::exception_ptr first_error;
-        std::mutex error_mutex;
-        Latch latch(chunks);
-        for (int c = 0; c < chunks; ++c) {
-            pool.submit([&bands, &fn, &latch, &first_error,
-                         &error_mutex, c] {
-                try {
-                    for (int i = bands[c].y0; i < bands[c].y1; ++i)
-                        fn(i);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> lock(
-                        error_mutex);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                }
-                latch.countDown();
-            });
-        }
-        latch.wait();
-        if (first_error)
-            std::rethrow_exception(first_error);
+        const auto bands = shardRows(n, std::min(n, pool.size() * 4));
+        pool.run(static_cast<int>(bands.size()), [&](int c) {
+            for (int i = bands[c].y0; i < bands[c].y1; ++i)
+                fn(i);
+        });
     };
 }
 

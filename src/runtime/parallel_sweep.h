@@ -26,14 +26,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <exception>
-#include <functional>
-#include <mutex>
 #include <vector>
 
 #include "core/tables.h"
 #include "mrf/schedule.h"
-#include "runtime/cancellation.h"
 #include "runtime/thread_pool.h"
 
 namespace rsu::runtime {
@@ -92,46 +88,28 @@ class ParallelSweepExecutor
     int shards() const { return shards_; }
 
     /**
-     * Install a cancellation token checked once per sweep, before
-     * the parity-0 phase. A sweep that has begun always completes
-     * both phases — cancellation never tears a sweep, so the label
-     * field is always a whole number of sweeps old. An inert
-     * (default) token restores the unchecked behaviour.
-     */
-    void
-    setCancellationToken(CancellationToken token)
-    {
-        cancel_ = std::move(token);
-    }
-
-    const CancellationToken &cancellationToken() const
-    {
-        return cancel_;
-    }
-
-    /**
      * One checkerboard sweep of a width x height lattice:
      * fn(shard, x, y) is invoked for every parity-0 site (each shard
      * concurrently, row-major within a shard), then — after a
-     * barrier — for every parity-1 site. The caller's thread blocks
-     * on each phase's latch; fn must touch only shard-local state
-     * plus sites the chromatic argument makes safe (the site itself
-     * and its opposite-parity neighbours).
+     * barrier — for every parity-1 site. Each phase is one
+     * ThreadPool::run fork-join that the caller's thread blocks on;
+     * fn must touch only shard-local state plus sites the chromatic
+     * argument makes safe (the site itself and its opposite-parity
+     * neighbours).
      *
-     * Returns false — without visiting any site — when the installed
-     * cancellation token was already tripped; true when the sweep
-     * ran. An exception thrown by @p fn on any shard is rethrown
-     * here (first one wins; the remaining phase is skipped but every
-     * in-flight task still finishes before the rethrow, so the pool
-     * is never wedged).
+     * An exception thrown by @p fn on any shard is rethrown here
+     * (first one wins) once every shard of that phase finished; the
+     * remaining phase is skipped and the pool stays usable.
+     * Cancellation is not checked here: the caller decides between
+     * sweeps whether to start another (see InferenceEngine).
      */
     template <typename Fn>
-    bool
+    void
     sweep(int width, int height, Fn &&fn)
     {
         // The split visit with one callable on both classes is the
         // plain checkerboard sweep (identical site order).
-        return sweepSplit(width, height, fn, fn);
+        sweepSplit(width, height, fn, fn);
     }
 
     /**
@@ -147,54 +125,25 @@ class ParallelSweepExecutor
      * the interior kernel).
      */
     template <typename FnInterior, typename FnBorder>
-    bool
+    void
     sweepSplit(int width, int height, FnInterior &&interior,
                FnBorder &&border)
     {
-        // Cancellation is observed only here, between sweeps: once
-        // a sweep starts, both phases run to completion so shard
-        // entropy streams and the label field stay sweep-aligned.
-        if (cancel_.cancelled())
-            return false;
-
         const auto bands = shardRows(height, shards_);
-        std::exception_ptr first_error;
-        std::mutex error_mutex;
         for (int parity = 0; parity < 2; ++parity) {
             const auto start = std::chrono::steady_clock::now();
-            Latch latch(static_cast<int>(bands.size()));
-            for (int s = 0; s < static_cast<int>(bands.size());
-                 ++s) {
-                pool_.submit([&, s, parity] {
-                    // The latch must count down on every exit path
-                    // or the caller (and the pool) wedge forever.
-                    try {
-                        rsu::mrf::forEachSiteInRowsSplit(
-                            width, height, bands[s].y0, bands[s].y1,
-                            parity,
-                            [&](int x, int y) { interior(s, x, y); },
-                            [&](int x, int y) { border(s, x, y); });
-                    } catch (...) {
-                        const std::lock_guard<std::mutex> lock(
-                            error_mutex);
-                        if (!first_error)
-                            first_error = std::current_exception();
-                    }
-                    latch.countDown();
-                });
-            }
-            latch.wait();
+            pool_.run(shards_, [&](int s) {
+                rsu::mrf::forEachSiteInRowsSplit(
+                    width, height, bands[s].y0, bands[s].y1, parity,
+                    [&](int x, int y) { interior(s, x, y); },
+                    [&](int x, int y) { border(s, x, y); });
+            });
             const std::chrono::duration<double> elapsed =
                 std::chrono::steady_clock::now() - start;
             (parity == 0 ? timing_.even_seconds
                          : timing_.odd_seconds) += elapsed.count();
-            if (first_error)
-                break; // skip the second phase; state is torn anyway
         }
-        if (first_error)
-            std::rethrow_exception(first_error);
         ++timing_.sweeps;
-        return true;
     }
 
     const PhaseTiming &timing() const { return timing_; }
@@ -204,7 +153,6 @@ class ParallelSweepExecutor
     ThreadPool &pool_;
     int shards_;
     PhaseTiming timing_;
-    CancellationToken cancel_;
 };
 
 } // namespace rsu::runtime

@@ -1,30 +1,10 @@
 #include "runtime/thread_pool.h"
 
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
 namespace rsu::runtime {
-
-Latch::Latch(int count) : count_(count)
-{
-    if (count < 0)
-        throw std::invalid_argument("Latch: need count >= 0");
-}
-
-void
-Latch::countDown()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ > 0 && --count_ == 0)
-        cv_.notify_all();
-}
-
-void
-Latch::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return count_ == 0; });
-}
 
 int
 ThreadPool::hardwareThreads()
@@ -56,16 +36,48 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::run(int n, const std::function<void(int)> &task)
 {
+    if (n < 0)
+        throw std::invalid_argument("ThreadPool::run: need n >= 0");
+
+    // Join state on the caller's frame. Each queued closure holds
+    // only a pointer to it and its index, which keeps the closure
+    // inside std::function's small buffer (no allocation per task).
+    struct Join
+    {
+        const std::function<void(int)> &task;
+        std::mutex mutex;
+        std::condition_variable done;
+        int remaining;
+        std::exception_ptr first_error;
+    } join{task, {}, {}, n, nullptr};
+
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (stop_)
-            throw std::runtime_error(
-                "ThreadPool: submit after shutdown");
-        queue_.push_back(std::move(task));
+        for (int i = 0; i < n; ++i)
+            queue_.push_back([j = &join, i] {
+                std::exception_ptr error;
+                try {
+                    j->task(i);
+                } catch (...) {
+                    error = std::current_exception();
+                }
+                // Notify under the lock: the caller's frame (and
+                // `join`) may vanish the moment it can reacquire it.
+                const std::lock_guard<std::mutex> lock(j->mutex);
+                if (error && !j->first_error)
+                    j->first_error = error;
+                if (--j->remaining == 0)
+                    j->done.notify_all();
+            });
     }
-    cv_.notify_one();
+    cv_.notify_all();
+
+    std::unique_lock<std::mutex> lock(join.mutex);
+    join.done.wait(lock, [&join] { return join.remaining == 0; });
+    if (join.first_error)
+        std::rethrow_exception(join.first_error);
 }
 
 void

@@ -1,16 +1,17 @@
 /**
  * @file
- * Fixed-size thread pool and countdown latch.
+ * Fixed-size thread pool with one blocking fork-join call.
  *
  * The execution substrate of the chromatic inference runtime. The
  * paper's parallelism argument (section 4.2, Figure 4) is phase
  * structured: all same-colour checkerboard sites may update at once,
  * but a colour phase must fully retire before the opposite colour
- * starts. That maps onto a deliberately simple pool — a fixed set of
- * workers draining one FIFO queue, no work stealing — plus a Latch
- * the submitter blocks on to close each phase. Shard tasks within a
- * phase are uniform row bands of one lattice, so stealing would buy
- * nothing and cost determinism-debugging pain.
+ * starts. That is one fork-join per phase, so the pool offers exactly
+ * that: run(n, task) fans n indices out over a fixed set of workers
+ * draining one FIFO queue (no work stealing) and returns once all of
+ * them finished. Shard tasks within a phase are uniform row bands of
+ * one lattice, so stealing would buy nothing and cost
+ * determinism-debugging pain.
  */
 
 #ifndef RSU_RUNTIME_THREAD_POOL_H
@@ -24,28 +25,6 @@
 #include <vector>
 
 namespace rsu::runtime {
-
-/**
- * Single-use countdown latch (a C++20 std::latch equivalent kept
- * in-tree so the runtime has one obvious place to instrument or
- * swap the phase-closing primitive).
- */
-class Latch
-{
-  public:
-    explicit Latch(int count);
-
-    /** Decrement the counter; at zero, releases all waiters. */
-    void countDown();
-
-    /** Block until the counter reaches zero. */
-    void wait();
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    int count_;
-};
 
 /** Fixed-size FIFO thread pool. */
 class ThreadPool
@@ -66,8 +45,15 @@ class ThreadPool
     /** Worker thread count. */
     int size() const { return static_cast<int>(threads_.size()); }
 
-    /** Enqueue a task; runs on some worker in FIFO order. */
-    void submit(std::function<void()> task);
+    /**
+     * Fork-join: run task(i) once for every i in [0, n) on the
+     * workers and block until all n calls returned. If any call
+     * threw, the first exception is rethrown — only after every
+     * other call finished, so nothing still references the caller's
+     * frame. Calls from several threads may interleave on the pool;
+     * never call run() from inside a task.
+     */
+    void run(int n, const std::function<void(int)> &task);
 
     /** std::thread::hardware_concurrency(), at least 1. */
     static int hardwareThreads();

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -155,26 +156,6 @@ TEST(Cancellation, InertTokenCostsNothingAndNeverCancels)
     EXPECT_TRUE(live.cancelled());
 }
 
-TEST(Cancellation, ExecutorSkipsSweepOnceCancelled)
-{
-    ThreadPool pool(2);
-    ParallelSweepExecutor executor(pool, 2);
-    auto token = CancellationToken::make();
-    executor.setCancellationToken(token);
-
-    std::atomic<int> visits{0};
-    auto count = [&](int, int, int) {
-        visits.fetch_add(1, std::memory_order_relaxed);
-    };
-    EXPECT_TRUE(executor.sweep(6, 6, count));
-    EXPECT_EQ(visits.load(), 36);
-
-    token.cancel();
-    EXPECT_FALSE(executor.sweep(6, 6, count));
-    EXPECT_EQ(visits.load(), 36); // no site visited after cancel
-    EXPECT_EQ(executor.timing().sweeps, 1u);
-}
-
 TEST(Cancellation, CancelAfterKSweepsIsBitExact)
 {
     const Problem p(24, 18, 3, 5);
@@ -182,7 +163,6 @@ TEST(Cancellation, CancelAfterKSweepsIsBitExact)
 
     InferenceEngine::Options options;
     options.threads = 2;
-    options.default_shards = 2;
     InferenceEngine engine(options);
 
     auto job = baseJob(p, 50);
@@ -302,6 +282,38 @@ TEST(Deadline, MidRunDeadlineReturnsPartialResult)
               static_cast<std::size_t>(16 * 16));
 }
 
+TEST(Deadline, NanBudgetIsRejectedAtSubmit)
+{
+    const Problem p(16, 16, 3, 6);
+    InferenceEngine::Options options;
+    options.threads = 2;
+    InferenceEngine engine(options);
+
+    auto job = baseJob(p, 3);
+    job.deadline_seconds = std::nan("");
+    EXPECT_THROW(engine.submit(std::move(job)), std::invalid_argument);
+    EXPECT_EQ(engine.pendingJobs(), 0);
+}
+
+TEST(Deadline, BudgetBeyondClockRangeMeansNoDeadline)
+{
+    const Problem p(16, 16, 3, 6);
+    InferenceEngine::Options options;
+    options.threads = 2;
+    InferenceEngine engine(options);
+
+    // +inf and 1e10 s overflow steady_clock's nanosecond range from
+    // now; 5 s fits. Every one of them must run all its sweeps.
+    for (double seconds :
+         {std::numeric_limits<double>::infinity(), 1e10, 5.0}) {
+        auto job = baseJob(p, 4);
+        job.deadline_seconds = seconds;
+        const auto result = engine.submit(std::move(job)).get();
+        EXPECT_EQ(result.outcome, JobOutcome::Completed) << seconds;
+        EXPECT_EQ(result.sweeps_run, 4) << seconds;
+    }
+}
+
 // ---------------------------------------------------------------
 // Backpressure
 // ---------------------------------------------------------------
@@ -398,7 +410,6 @@ TEST(Shutdown, CancelAllResolvesQueuedAndRunningFutures)
         InferenceEngine::Options options;
         options.threads = 2;
         options.max_concurrent_jobs = 1;
-        options.shutdown_mode = ShutdownMode::CancelAll;
         InferenceEngine engine(options);
 
         // The running job parks until its own token trips (which
@@ -420,7 +431,7 @@ TEST(Shutdown, CancelAllResolvesQueuedAndRunningFutures)
         for (int i = 0; i < 3; ++i)
             queued.push_back(
                 engine.submit(baseJob(p, 5)).future);
-        // Engine destroyed here with work outstanding.
+        engine.shutdown(ShutdownMode::CancelAll);
     }
 
     // The running job resolved with a partial value.
@@ -451,7 +462,6 @@ TEST(Shutdown, DrainRunsEverythingToCompletion)
         InferenceEngine::Options options;
         options.threads = 2;
         options.max_concurrent_jobs = 1;
-        options.shutdown_mode = ShutdownMode::Drain;
         InferenceEngine engine(options);
 
         auto blocker = baseJob(p, 1);
@@ -512,12 +522,12 @@ TEST(ExceptionPaths, ThrowingSweepKernelRethrowsAndPoolSurvives)
                                 }),
                  std::runtime_error);
 
-    // The pool and executor must still work: no wedged latch, no
+    // The pool and executor must still work: no wedged fork-join, no
     // poisoned workers.
     std::atomic<int> visits{0};
-    EXPECT_TRUE(executor.sweep(8, 8, [&](int, int, int) {
+    executor.sweep(8, 8, [&](int, int, int) {
         visits.fetch_add(1, std::memory_order_relaxed);
-    }));
+    });
     EXPECT_EQ(visits.load(), 64);
 }
 
@@ -726,7 +736,6 @@ TEST(Degradation, FaultedRsuJobFallsBackWithinOnePercent)
 
     InferenceEngine::Options options;
     options.threads = 2;
-    options.default_shards = 2;
     InferenceEngine engine(options);
 
     rsu::mrf::AnnealingSchedule schedule;
@@ -770,33 +779,6 @@ TEST(Degradation, FaultedRsuJobFallsBackWithinOnePercent)
         << degraded_energy;
 }
 
-TEST(Degradation, FailJobPolicyRaisesDeviceFailed)
-{
-    const Problem p(24, 24, 3, 5);
-
-    rsu::ret::FaultPlan plan;
-    plan.seed = 7;
-    plan.dead_spad_fraction = 1.0;
-    plan.max_reraces = 1;
-    plan.failure_threshold = 4;
-
-    InferenceEngine::Options options;
-    options.threads = 2;
-    options.default_shards = 2;
-    options.degradation = rsu::runtime::DegradationPolicy::FailJob;
-    InferenceEngine engine(options);
-
-    auto job = baseJob(p, 10);
-    job.sampler = SamplerKind::RsuGibbs;
-    job.faults = plan;
-    try {
-        engine.submit(std::move(job)).get();
-        FAIL() << "expected EngineError";
-    } catch (const EngineError &e) {
-        EXPECT_EQ(e.code(), EngineErrorCode::DeviceFailed);
-    }
-}
-
 TEST(Degradation, FaultFreeRsuJobIsBitIdenticalToSeedBehaviour)
 {
     // The robustness layer must be invisible when unused: an RSU
@@ -805,7 +787,6 @@ TEST(Degradation, FaultFreeRsuJobIsBitIdenticalToSeedBehaviour)
     const Problem p(20, 16, 3, 9);
     InferenceEngine::Options options;
     options.threads = 2;
-    options.default_shards = 2;
     InferenceEngine engine(options);
 
     auto a = baseJob(p, 6, 21);

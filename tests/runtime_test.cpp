@@ -1,17 +1,19 @@
 /**
  * @file
- * Chromatic runtime tests: shard partitioning, pool/latch basics,
+ * Chromatic runtime tests: shard partitioning, the pool's fork-join,
  * determinism of the parallel chain (including bit-equality with the
  * sequential samplers at one shard), chromatic phase safety, and the
  * inference-engine job layer.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -94,19 +96,56 @@ TEST(ShardRows, PartitionCoversDisjointBalanced)
     EXPECT_THROW(shardRows(10, 0), std::invalid_argument);
 }
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks)
+TEST(ThreadPoolTest, RunExecutesEachIndexOnce)
+{
+    for (int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(pool.size(), threads);
+        for (int n : {0, 1, 100}) {
+            std::vector<std::atomic<int>> hits(n);
+            pool.run(n, [&](int i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            for (int i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "threads " << threads << " n " << n << " i "
+                    << i;
+        }
+    }
+}
+
+TEST(ThreadPoolTest, RunRethrowsOnlyAfterEveryTaskFinished)
 {
     ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    std::atomic<int> counter{0};
-    rsu::runtime::Latch latch(100);
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] {
-            counter.fetch_add(1, std::memory_order_relaxed);
-            latch.countDown();
-        });
-    latch.wait();
-    EXPECT_EQ(counter.load(), 100);
+    std::atomic<int> finished{0};
+    EXPECT_THROW(pool.run(100,
+                          [&](int i) {
+                              if (i == 0)
+                                  throw std::runtime_error("task 0");
+                              std::this_thread::sleep_for(
+                                  std::chrono::microseconds(200));
+                              finished.fetch_add(1);
+                          }),
+                 std::runtime_error);
+    // run() returned: no task may still be in flight.
+    EXPECT_EQ(finished.load(), 99);
+
+    // The pool still works, and so does the row runner built on it.
+    std::atomic<int> sum{0};
+    pool.run(10, [&](int i) { sum.fetch_add(i); });
+    EXPECT_EQ(sum.load(), 45);
+
+    const auto rows = rsu::runtime::parallelRowRunner(pool);
+    EXPECT_THROW(rows(64,
+                      [](int i) {
+                          if (i == 63)
+                              throw std::runtime_error("row 63");
+                      }),
+                 std::runtime_error);
+    std::vector<int> filled(64, 0);
+    rows(64, [&](int i) { filled[i] = i + 1; });
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(filled[i], i + 1);
 }
 
 TEST(Schedule, ForEachSiteInRowsMatchesWholeLatticeSweep)
@@ -359,14 +398,13 @@ TEST(InferenceEngineTest, AnnealingJobTracksBestLabelling)
 {
     Problem p(26, 20, 3, 57);
 
-    InferenceEngine engine({.threads = 2,
-                            .max_concurrent_jobs = 1,
-                            .default_shards = 2});
+    InferenceEngine engine({.threads = 2, .max_concurrent_jobs = 1});
 
     InferenceJob job;
     job.config = p.config;
     job.singleton = p.modelPtr();
     job.seed = 5;
+    job.shards = 2;
     rsu::mrf::AnnealingSchedule schedule;
     schedule.start_temperature = p.config.temperature;
     schedule.stop_temperature = 1.0;

@@ -1,9 +1,9 @@
 #include "core/rsu_g.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace rsu::core {
 
@@ -353,8 +353,11 @@ RsuG::steadyStateIntervalCycles() const
 rsu::ret::RetCircuit &
 RsuG::circuit(int lane, int replica)
 {
-    assert(lane >= 0 && lane < config_.width);
-    assert(replica >= 0 && replica < config_.circuits_per_lane);
+    if (lane < 0 || lane >= config_.width || replica < 0 ||
+        replica >= config_.circuits_per_lane)
+        throw std::out_of_range(
+            "RsuG: no circuit (" + std::to_string(lane) + ", " +
+            std::to_string(replica) + ")");
     return circuits_[lane * config_.circuits_per_lane + replica];
 }
 

@@ -224,7 +224,12 @@ class RsuG
     const RsuGConfig &config() const { return config_; }
     double temperature() const { return temperature_; }
 
-    /** Per-lane circuit bank access (wear studies, tests). */
+    /**
+     * Per-lane circuit bank access (wear studies, tests).
+     *
+     * @throws std::out_of_range if @p lane or @p replica is outside
+     *         the configured width / circuits_per_lane
+     */
     rsu::ret::RetCircuit &circuit(int lane, int replica);
 
   private:

@@ -1,61 +1,25 @@
 #include "core/simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace rsu::core {
 
 const char *
 simdIsaName(SimdIsa isa)
 {
-    switch (isa) {
-    case SimdIsa::Avx2:
-        return "avx2";
-    case SimdIsa::Sse2:
-        return "sse2";
-    default:
-        return "scalar";
-    }
-}
-
-SimdIsa
-detectedSimdIsa()
-{
-#if (defined(__x86_64__) || defined(__i386__)) &&                   \
-    (defined(__GNUC__) || defined(__clang__))
-    static const SimdIsa detected = [] {
-        if (__builtin_cpu_supports("avx2"))
-            return SimdIsa::Avx2;
-        if (__builtin_cpu_supports("sse2"))
-            return SimdIsa::Sse2;
-        return SimdIsa::Scalar;
-    }();
-    return detected;
-#else
-    return SimdIsa::Scalar;
-#endif
-}
-
-SimdIsa
-resolveSimdIsa(const char *request, SimdIsa detected)
-{
-    if (!request || !*request)
-        return detected;
-    SimdIsa requested = detected;
-    if (std::strcmp(request, "scalar") == 0)
-        requested = SimdIsa::Scalar;
-    else if (std::strcmp(request, "sse2") == 0)
-        requested = SimdIsa::Sse2;
-    else if (std::strcmp(request, "avx2") == 0)
-        requested = SimdIsa::Avx2;
-    return requested < detected ? requested : detected;
+    return isa == SimdIsa::Avx2 ? "avx2" : "scalar";
 }
 
 SimdIsa
 activeSimdIsa()
 {
-    return resolveSimdIsa(std::getenv("RSU_SIMD"),
-                          detectedSimdIsa());
+#if (defined(__x86_64__) || defined(__i386__)) &&                   \
+    (defined(__GNUC__) || defined(__clang__))
+    static const SimdIsa active = __builtin_cpu_supports("avx2")
+                                      ? SimdIsa::Avx2
+                                      : SimdIsa::Scalar;
+    return active;
+#else
+    return SimdIsa::Scalar;
+#endif
 }
 
 } // namespace rsu::core

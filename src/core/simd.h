@@ -1,22 +1,15 @@
 /**
  * @file
- * Runtime SIMD instruction-set detection and selection.
+ * Runtime SIMD instruction-set detection.
  *
  * The Simd sweep path (mrf/fast_sweep.h) vectorizes the candidate
- * dimension of the Gibbs inner loop with kernels compiled for
- * several x86 ISAs and picks one at runtime. Because those kernels
- * operate on Q32 fixed-point weights with associative integer
- * arithmetic, every ISA — and the scalar fallback — produces
+ * dimension of the Gibbs inner loop with an AVX2 kernel, picked at
+ * runtime when cpuid reports AVX2, and a portable scalar kernel
+ * otherwise. Because both kernels operate on Q32 fixed-point
+ * weights with associative integer arithmetic, they produce
  * *identical* label fields; the selection here is purely a speed
  * choice, never a results choice (tests/simd_sweep_test.cpp
  * enforces the equivalence).
- *
- * Selection order: the RSU_SIMD environment variable
- * ("scalar" | "sse2" | "avx2") names a *ceiling*, clamped to what
- * cpuid says the machine can actually run; unset or unrecognized
- * values select the widest detected ISA. The clamp means
- * RSU_SIMD=avx2 on an SSE2-only machine degrades safely instead of
- * faulting.
  */
 
 #ifndef RSU_CORE_SIMD_H
@@ -24,53 +17,20 @@
 
 namespace rsu::core {
 
-/**
- * Vector ISAs the sweep kernels are built for, ordered by width so
- * clamping a request to the detected capability is a min().
- */
+/** Kernels the Simd sweep path can run. */
 enum class SimdIsa {
-    Scalar = 0, //!< portable integer loop (always available)
-    Sse2 = 1,   //!< 4 x int32 lanes (x86-64 baseline)
-    Avx2 = 2,   //!< 8 x int32 lanes + hardware gather
+    Scalar, //!< portable integer loop (always available)
+    Avx2,   //!< 8 x int32 lanes + hardware gather
 };
 
-/** Lane width (int32 candidates per vector) of @p isa. */
-constexpr int
-simdLanes(SimdIsa isa)
-{
-    switch (isa) {
-    case SimdIsa::Avx2:
-        return 8;
-    case SimdIsa::Sse2:
-        return 4;
-    default:
-        return 1;
-    }
-}
-
-/** Candidate-lane padding the kernels assume (the widest ISA's). */
+/** Candidate-lane padding the kernels assume (AVX2's lane count). */
 constexpr int kSimdPadLanes = 8;
 
-/** Lowercase name ("scalar" | "sse2" | "avx2"). */
+/** Lowercase name ("scalar" | "avx2"). */
 const char *simdIsaName(SimdIsa isa);
 
-/** Widest ISA this CPU supports (cpuid-backed, cached). */
-SimdIsa detectedSimdIsa();
-
-/**
- * Combine an RSU_SIMD-style request with the detected capability:
- * null/empty/unrecognized @p request selects @p detected; a
- * recognized name is clamped to @p detected. Pure function — the
- * unit tests drive it directly.
- */
-SimdIsa resolveSimdIsa(const char *request, SimdIsa detected);
-
-/**
- * The ISA the Simd sweep path should use now:
- * resolveSimdIsa(getenv("RSU_SIMD"), detectedSimdIsa()). Reads the
- * environment on every call so tests can re-point it between
- * sampler constructions.
- */
+/** The kernel the Simd sweep path uses by default: Avx2 when cpuid
+ * reports AVX2 support, Scalar otherwise (checked once, cached). */
 SimdIsa activeSimdIsa();
 
 } // namespace rsu::core

@@ -21,23 +21,8 @@ SingletonTable::argminRow(int site) const
 }
 
 DoubletonTable::DoubletonTable(const EnergyUnit &unit,
-                               const std::vector<Label> &codes)
-    : num_candidates_(static_cast<int>(codes.size())),
-      rows_(codes.size() * kMaxLabels)
-{
-    if (codes.empty())
-        throw std::invalid_argument("DoubletonTable: no candidates");
-    for (int i = 0; i < num_candidates_; ++i) {
-        int32_t *r = rows_.data() +
-                     static_cast<size_t>(i) * kMaxLabels;
-        for (int c = 0; c < kMaxLabels; ++c)
-            r[c] = unit.doubleton(codes[i], static_cast<Label>(c));
-    }
-}
-
-TransposedDoubletonTable::TransposedDoubletonTable(
-    const EnergyUnit &unit, const std::vector<Label> &codes,
-    int padded_candidates)
+                               const std::vector<Label> &codes,
+                               int padded_candidates)
     : num_candidates_(static_cast<int>(codes.size())),
       padded_candidates_(padded_candidates == 0
                              ? num_candidates_
@@ -45,26 +30,22 @@ TransposedDoubletonTable::TransposedDoubletonTable(
       rows_(static_cast<size_t>(kMaxLabels) * padded_candidates_)
 {
     if (codes.empty())
-        throw std::invalid_argument(
-            "TransposedDoubletonTable: no candidates");
+        throw std::invalid_argument("DoubletonTable: no candidates");
     if (padded_candidates_ < num_candidates_)
         throw std::invalid_argument(
-            "TransposedDoubletonTable: padding below candidate "
-            "count");
+            "DoubletonTable: padding below candidate count");
+    // rows_ value-initializes, so pad lanes are already 0: the
+    // padded singleton's kEnergyMax stays the row sum.
     for (int c = 0; c < kMaxLabels; ++c) {
         int32_t *r = rows_.data() +
                      static_cast<size_t>(c) * padded_candidates_;
         for (int i = 0; i < num_candidates_; ++i)
             r[i] = unit.doubleton(codes[i], static_cast<Label>(c));
-        // rows_ value-initializes, but be explicit: pad lanes are 0
-        // so the padded singleton's kEnergyMax stays the row sum.
-        for (int i = num_candidates_; i < padded_candidates_; ++i)
-            r[i] = 0;
     }
 }
 
 void
-ExpTable::rebuild(double temperature, uint64_t version)
+ExpTable::rebuild(double temperature)
 {
     if (temperature <= 0.0)
         throw std::invalid_argument("ExpTable: temperature must be "
@@ -75,12 +56,10 @@ ExpTable::rebuild(double temperature, uint64_t version)
     // bits, which is what makes the fast path bit-exact.
     for (int e = 0; e <= kEnergyMax; ++e)
         values_[e] = std::exp(-static_cast<double>(e) / temperature);
-    temperature_ = temperature;
-    version_ = version;
 }
 
 void
-FixedExpTable::rebuild(double temperature, uint64_t version)
+FixedExpTable::rebuild(double temperature)
 {
     if (temperature <= 0.0)
         throw std::invalid_argument("FixedExpTable: temperature "
@@ -96,8 +75,6 @@ FixedExpTable::rebuild(double temperature, uint64_t version)
             kScale);
         values_[e] = static_cast<uint32_t>(q < 1 ? 1 : q);
     }
-    temperature_ = temperature;
-    version_ = version;
 }
 
 } // namespace rsu::core

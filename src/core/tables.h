@@ -108,14 +108,6 @@ class SingletonTable
                 fill_row(y);
     }
 
-    /** Unpadded sequential build (row stride = num_labels). */
-    template <typename Fn>
-    SingletonTable(int width, int height, int num_labels, Fn &&energy)
-        : SingletonTable(width, height, num_labels, 0,
-                         std::forward<Fn>(energy))
-    {
-    }
-
     int width() const { return width_; }
     int height() const { return height_; }
     int numLabels() const { return num_labels_; }
@@ -153,58 +145,28 @@ class SingletonTable
 };
 
 /**
- * Candidate-index x neighbour-code doubleton distances.
+ * Neighbour-code x candidate-index doubleton distances.
  *
- * Row i holds EnergyUnit::doubleton(codes[i], c) for every 6-bit
- * neighbour code c — mode, weight, and cap are baked in. At most
- * 64 x 64 ints (16 KiB), so the whole table lives in L1.
+ * Row c holds EnergyUnit::doubleton(codes[i], c) for every
+ * candidate i — mode, weight, and cap are baked in — so a site's
+ * conditional energies are the element-wise sum of its singleton
+ * row and its neighbours' rows, contiguous in the candidate
+ * dimension for both the scalar loops and the vector kernels. Rows
+ * are padded with zeros to a SIMD lane multiple (a zero pad keeps
+ * the padded singleton entry at kEnergyMax, so the shared clamp
+ * still saturates the lane). At most 64 x 64 ints (16 KiB), so the
+ * whole table lives in L1.
  */
 class DoubletonTable
-{
-  public:
-    DoubletonTable(const EnergyUnit &unit,
-                   const std::vector<Label> &codes);
-
-    int numCandidates() const { return num_candidates_; }
-
-    /** Distances from candidate @p i to every neighbour code. */
-    const int32_t *
-    row(int candidate) const
-    {
-        return rows_.data() +
-               static_cast<size_t>(candidate) * kMaxLabels;
-    }
-
-    int32_t at(int candidate, Label neighbor_code) const
-    {
-        return row(candidate)[neighbor_code & kLabelMask];
-    }
-
-  private:
-    int num_candidates_;
-    std::vector<int32_t> rows_; // numCandidates x kMaxLabels
-};
-
-/**
- * Neighbour-code x candidate-index doubleton distances — the
- * DoubletonTable transposed, for kernels that vectorize the
- * *candidate* dimension. Row c holds
- * EnergyUnit::doubleton(codes[i], c) for every candidate i, padded
- * with zeros to a SIMD lane multiple (a zero pad keeps the padded
- * singleton entry at kEnergyMax, so the shared clamp still
- * saturates the lane). At most 64 x 64 ints (16 KiB), so like its
- * transpose the whole table lives in L1.
- */
-class TransposedDoubletonTable
 {
   public:
     /**
      * @param padded_candidates row stride (0 means codes.size());
      *        must be >= codes.size()
      */
-    TransposedDoubletonTable(const EnergyUnit &unit,
-                             const std::vector<Label> &codes,
-                             int padded_candidates = 0);
+    DoubletonTable(const EnergyUnit &unit,
+                   const std::vector<Label> &codes,
+                   int padded_candidates = 0);
 
     int numCandidates() const { return num_candidates_; }
 
@@ -238,22 +200,16 @@ class TransposedDoubletonTable
  *
  * Entries are computed with the exact expression the reference
  * sampler uses — std::exp(-double(e) / T) — so a lookup returns a
- * bit-identical double. The owner keys the table to a temperature
- * *version* (GridMrf bumps its version in setTemperature()) so
- * annealing invalidates cached tables automatically; rebuild() is
- * cheap (256 exp calls) and must be called from a single thread
- * between sweeps.
+ * bit-identical double. rebuild() is cheap (256 exp calls) and
+ * must be called from a single thread between sweeps;
+ * mrf::SweepTables::sync() calls it when the model's temperature
+ * moves (annealing).
  */
 class ExpTable
 {
   public:
-    /** Recompute all entries for @p temperature, stamping
-     * @p version. */
-    void rebuild(double temperature, uint64_t version);
-
-    bool built() const { return !values_.empty(); }
-    uint64_t version() const { return version_; }
-    double temperature() const { return temperature_; }
+    /** Recompute all entries for @p temperature. */
+    void rebuild(double temperature);
 
     /** The 256-entry weight table (index = 8-bit energy). */
     const double *data() const { return values_.data(); }
@@ -267,8 +223,6 @@ class ExpTable
 
   private:
     std::vector<double> values_;
-    double temperature_ = 0.0;
-    uint64_t version_ = 0;
 };
 
 /**
@@ -280,8 +234,8 @@ class ExpTable
  * floor of 1 so every real candidate keeps nonzero probability and
  * a site's weight total can never be zero. Integer weights make
  * candidate accumulation and prefix-sum selection associative and
- * lane-order independent, which is what lets AVX2, SSE2, and the
- * scalar fallback produce identical draws. The sweep kernels index
+ * lane-order independent, which is what lets the AVX2 and scalar
+ * kernels produce identical draws. The sweep kernels index
  * this table with *site-renormalized* energies (each candidate's
  * energy minus the site minimum — softmax-invariant), so the
  * site's best candidate always lands at entry 0 and quantization
@@ -291,9 +245,7 @@ class ExpTable
  * bit-identical to the Table/Reference paths, which use the exact
  * doubles.
  *
- * Version-keyed like ExpTable: the owner rebuilds on
- * GridMrf::temperatureVersion() bumps, single-threaded between
- * sweeps.
+ * Rebuilt alongside ExpTable, single-threaded between sweeps.
  */
 class FixedExpTable
 {
@@ -301,13 +253,8 @@ class FixedExpTable
     /** What exp(0) = 1 maps to: the largest uint32_t. */
     static constexpr double kScale = 4294967295.0;
 
-    /** Recompute all entries for @p temperature, stamping
-     * @p version. */
-    void rebuild(double temperature, uint64_t version);
-
-    bool built() const { return !values_.empty(); }
-    uint64_t version() const { return version_; }
-    double temperature() const { return temperature_; }
+    /** Recompute all entries for @p temperature. */
+    void rebuild(double temperature);
 
     /** The 256-entry weight table (index = 8-bit energy). */
     const uint32_t *data() const { return values_.data(); }
@@ -321,8 +268,6 @@ class FixedExpTable
 
   private:
     std::vector<uint32_t> values_;
-    double temperature_ = 0.0;
-    uint64_t version_ = 0;
 };
 
 /**

@@ -1,14 +1,13 @@
 #include "mrf/fast_sweep.h"
 
 #include <cassert>
+#include <stdexcept>
 
-#include "mrf/simd_kernels.h"
 #include "rng/discrete.h"
 
 namespace rsu::mrf {
 
 using rsu::core::kEnergyMax;
-using rsu::core::kLabelMask;
 using rsu::core::kSimdPadLanes;
 
 namespace {
@@ -20,6 +19,26 @@ padLabels(int num_labels)
            kSimdPadLanes;
 }
 
+/** Point @p rows at the doubleton rows of site (x, y)'s in-lattice
+ * neighbours (N, S, W, E order); returns how many there are. */
+int
+neighbourRows(const rsu::core::DoubletonTable &dt, const Label *labels,
+              int width, int height, int x, int y,
+              const int32_t *rows[4])
+{
+    const int site = y * width + x;
+    int valid = 0;
+    if (y > 0)
+        rows[valid++] = dt.row(labels[site - width]);
+    if (y + 1 < height)
+        rows[valid++] = dt.row(labels[site + width]);
+    if (x > 0)
+        rows[valid++] = dt.row(labels[site - 1]);
+    if (x + 1 < width)
+        rows[valid++] = dt.row(labels[site + 1]);
+    return valid;
+}
+
 } // namespace
 
 SweepTableSet::SweepTableSet(const GridMrf &mrf,
@@ -29,9 +48,7 @@ SweepTableSet::SweepTableSet(const GridMrf &mrf,
       padded_labels_(padLabels(mrf.numLabels())),
       codes_(mrf.labelCodes()),
       singleton_(mrf.buildSingletonTable(padded_labels_, parallel)),
-      doubleton_(mrf.energyUnit(), mrf.labelCodes()),
-      transposed_(mrf.energyUnit(), mrf.labelCodes(),
-                  padded_labels_)
+      doubleton_(mrf.energyUnit(), mrf.labelCodes(), padded_labels_)
 {
 }
 
@@ -44,29 +61,33 @@ SweepTables::SweepTables(const GridMrf &mrf,
                          std::shared_ptr<const SweepTableSet> set)
     : mrf_(&mrf), width_(mrf.width()), height_(mrf.height()),
       num_labels_(mrf.numLabels()), set_(std::move(set)),
-      isa_(rsu::core::activeSimdIsa()),
-      interior_fn_(detail::interiorSampleFor(isa_))
+      temperature_version_(mrf.temperatureVersion()),
+      interior_fn_(detail::interiorSampleFor(rsu::core::activeSimdIsa()))
 {
-    assert(set_ && set_->width() == width_ &&
-           set_->height() == height_ &&
-           set_->numLabels() == num_labels_);
-    sync();
+    if (!set_ || set_->width() != width_ ||
+        set_->height() != height_ ||
+        set_->numLabels() != num_labels_ ||
+        set_->codes() != mrf.labelCodes())
+        throw std::invalid_argument(
+            "SweepTables: table set does not match the model");
+    exp_.rebuild(mrf.temperature());
+    fixed_exp_.rebuild(mrf.temperature());
 }
 
 void
 SweepTables::sync()
 {
     const uint64_t version = mrf_->temperatureVersion();
-    if (!exp_.built() || exp_.version() != version)
-        exp_.rebuild(mrf_->temperature(), version);
-    if (!fixed_exp_.built() || fixed_exp_.version() != version)
-        fixed_exp_.rebuild(mrf_->temperature(), version);
+    if (version == temperature_version_)
+        return;
+    exp_.rebuild(mrf_->temperature());
+    fixed_exp_.rebuild(mrf_->temperature());
+    temperature_version_ = version;
 }
 
 void
 SweepTables::setSimdIsa(rsu::core::SimdIsa isa)
 {
-    isa_ = isa;
     interior_fn_ = detail::interiorSampleFor(isa);
 }
 
@@ -80,17 +101,17 @@ SweepTables::updateInterior(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
 
     const int site = y * width_ + x;
     const Label *labels = mrf.labels().data();
-    const int n0 = labels[site - width_] & kLabelMask;
-    const int n1 = labels[site + width_] & kLabelMask;
-    const int n2 = labels[site - 1] & kLabelMask;
-    const int n3 = labels[site + 1] & kLabelMask;
+    const auto &dt = set_->doubleton();
+    const int32_t *d0 = dt.row(labels[site - width_]);
+    const int32_t *d1 = dt.row(labels[site + width_]);
+    const int32_t *d2 = dt.row(labels[site - 1]);
+    const int32_t *d3 = dt.row(labels[site + 1]);
 
     const uint16_t *s = set_->singleton().row(site);
     const double *et = exp_.data();
     const int m = num_labels_;
     for (int i = 0; i < m; ++i) {
-        const int32_t *d = set_->doubleton().row(i);
-        int e = s[i] + d[n0] + d[n1] + d[n2] + d[n3];
+        int e = s[i] + d0[i] + d1[i] + d2[i] + d3[i];
         e = e < kEnergyMax ? e : kEnergyMax;
         weights[i] = et[e];
     }
@@ -116,27 +137,17 @@ SweepTables::updateBorder(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
 {
     assert(&mrf == mrf_);
 
-    const int site = y * width_ + x;
-    const Label *labels = mrf.labels().data();
-    int n[4];
-    int valid = 0;
-    if (y > 0)
-        n[valid++] = labels[site - width_] & kLabelMask;
-    if (y + 1 < height_)
-        n[valid++] = labels[site + width_] & kLabelMask;
-    if (x > 0)
-        n[valid++] = labels[site - 1] & kLabelMask;
-    if (x + 1 < width_)
-        n[valid++] = labels[site + 1] & kLabelMask;
-
-    const uint16_t *s = set_->singleton().row(site);
+    const int32_t *d[4];
+    const int valid = neighbourRows(set_->doubleton(),
+                                    mrf.labels().data(), width_,
+                                    height_, x, y, d);
+    const uint16_t *s = set_->singleton().row(y * width_ + x);
     const double *et = exp_.data();
     const int m = num_labels_;
     for (int i = 0; i < m; ++i) {
-        const int32_t *d = set_->doubleton().row(i);
         int e = s[i];
         for (int k = 0; k < valid; ++k)
-            e += d[n[k]];
+            e += d[k][i];
         e = e < kEnergyMax ? e : kEnergyMax;
         weights[i] = et[e];
     }
@@ -161,27 +172,18 @@ SweepTables::updateBorderSimd(GridMrf &mrf,
 {
     assert(&mrf == mrf_);
 
-    const int site = y * width_ + x;
-    const Label *labels = mrf.labels().data();
-    Label n[4];
-    int valid = 0;
-    if (y > 0)
-        n[valid++] = labels[site - width_];
-    if (y + 1 < height_)
-        n[valid++] = labels[site + width_];
-    if (x > 0)
-        n[valid++] = labels[site - 1];
-    if (x + 1 < width_)
-        n[valid++] = labels[site + 1];
+    const int32_t *d[4];
+    const int valid = neighbourRows(set_->doubleton(),
+                                    mrf.labels().data(), width_,
+                                    height_, x, y, d);
 
     // Scalar integer loop over the real candidates: border sites
     // are O(perimeter), and plain fixed-order integer arithmetic is
-    // trivially identical across ISAs. Renormalized by the site
+    // trivially identical across kernels. Renormalized by the site
     // minimum exactly like the interior kernels (see
     // simd_kernels.h), reusing the weights buffer as energy
     // scratch.
-    const uint16_t *s = set_->singleton().row(site);
-    const auto &dt = set_->transposedDoubleton();
+    const uint16_t *s = set_->singleton().row(y * width_ + x);
     const uint32_t *wt = fixed_exp_.data();
     const int m = num_labels_;
     int32_t *energies = reinterpret_cast<int32_t *>(weights);
@@ -189,7 +191,7 @@ SweepTables::updateBorderSimd(GridMrf &mrf,
     for (int i = 0; i < m; ++i) {
         int e = s[i];
         for (int k = 0; k < valid; ++k)
-            e += dt.row(n[k])[i];
+            e += d[k][i];
         e = e < kEnergyMax ? e : kEnergyMax;
         energies[i] = e;
         emin = e < emin ? e : emin;

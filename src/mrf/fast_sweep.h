@@ -15,30 +15,35 @@
  *
  * - The **Simd** path additionally converts the exp weights to Q32
  *   fixed point (core::FixedExpTable) and vectorizes the candidate
- *   dimension with runtime-dispatched kernels (core/simd.h,
+ *   dimension with a runtime-dispatched kernel (core/simd.h,
  *   mrf/simd_kernels.h). Because its weight accumulation and
- *   prefix-sum selection are associative integer operations, AVX2,
- *   SSE2, and the scalar fallback produce *identical* label fields
- *   for the same (seed, schedule, shard count) — self-deterministic
+ *   prefix-sum selection are associative integer operations, the
+ *   AVX2 and scalar kernels produce *identical* label fields for
+ *   the same (seed, schedule, shard count) — self-deterministic
  *   across ISAs and runs, but NOT bit-identical to Table (weights
  *   are quantized; correctness is established statistically —
  *   tests/simd_sweep_test.cpp).
  *
+ * Both paths read one doubleton table, neighbour-major
+ * (core::DoubletonTable): a site's candidate energies are the
+ * element-wise sum of its singleton row and its four neighbours'
+ * rows.
+ *
  * SweepTableSet is the immutable static part — singleton energies
- * (padded rows), doubleton distances (both orientations), and label
- * codes. It depends only on (model, geometry, energy config,
- * codes), never on temperature, so the runtime's InferenceEngine
- * caches and shares one set across queued jobs on the same model;
- * construction can fan out over a thread pool via
- * core::RowParallelFor. SweepTables binds a shared (or owned) set
- * to one sampling chain, adding the temperature-dependent exp
- * tables and the site-update kernels.
+ * (padded rows), doubleton distances, and label codes. It depends
+ * only on (model, geometry, energy config, codes), never on
+ * temperature, so the runtime's InferenceEngine caches and shares
+ * one set across queued jobs on the same model; construction can
+ * fan out over a thread pool via core::RowParallelFor. SweepTables
+ * binds a shared (or owned) set to one sampling chain, adding the
+ * temperature-dependent exp tables and the site-update kernels.
  *
  * Sharing: both classes are immutable during sweeps and may be read
  * by any number of runtime shards concurrently. sync() — which
  * rebuilds the exp tables when the model's temperatureVersion() has
- * moved (annealing) — must be called from one thread between
- * sweeps; SweepCore::sweep() does this at sweep start.
+ * moved past the one SweepTables last saw (annealing) — must be
+ * called from one thread between sweeps; SweepCore::sweep() does
+ * this at sweep start.
  *
  * SamplerWork counters record the *logical* baseline costs (m
  * energy evaluations and m exp calls per site) even though the fast
@@ -57,6 +62,7 @@
 #include "core/simd.h"
 #include "core/tables.h"
 #include "mrf/grid_mrf.h"
+#include "mrf/simd_kernels.h"
 #include "rng/block.h"
 #include "rng/xoshiro256.h"
 
@@ -93,18 +99,10 @@ enum class SweepPath {
                //!< identical across ISAs, not bit-identical to Table
 };
 
-namespace detail {
-using InteriorSampleFn = int (*)(const uint16_t *, const int32_t *,
-                                 const int32_t *, const int32_t *,
-                                 const int32_t *, const uint32_t *,
-                                 uint32_t *, int, int, uint64_t);
-} // namespace detail
-
 /**
  * The temperature-independent tables of one model: per-site
- * singleton energies (rows padded to the SIMD lane multiple),
- * doubleton distances in candidate-major (Table kernels) and
- * neighbour-major (Simd kernels) orientation, and the candidate ->
+ * singleton energies and neighbour-major doubleton distances (both
+ * with rows padded to the SIMD lane multiple), and the candidate ->
  * code decode. Immutable once built; share one instance across any
  * number of SweepTables / jobs on the same model (the engine's
  * table cache does exactly that).
@@ -140,11 +138,6 @@ class SweepTableSet
     {
         return doubleton_;
     }
-    const rsu::core::TransposedDoubletonTable &
-    transposedDoubleton() const
-    {
-        return transposed_;
-    }
 
   private:
     int width_;
@@ -154,7 +147,6 @@ class SweepTableSet
     std::vector<Label> codes_; // candidate index -> code
     rsu::core::SingletonTable singleton_;
     rsu::core::DoubletonTable doubleton_;
-    rsu::core::TransposedDoubletonTable transposed_;
 };
 
 /** Precomputed tables + kernels for one GridMrf's fast sweeps. */
@@ -170,32 +162,35 @@ class SweepTables
      * Bind an existing (typically cached) static set built for a
      * model identical to @p mrf's. Only the per-chain exp tables
      * are constructed — the expensive singleton scan is skipped.
+     *
+     * @throws std::invalid_argument if @p set is null or its
+     *         width, height, label count, or label codes differ
+     *         from @p mrf's
      */
     SweepTables(const GridMrf &mrf,
                 std::shared_ptr<const SweepTableSet> set);
 
     /**
      * Rebuild the exp tables if the model's temperature changed
-     * since the last sync (keyed to GridMrf::temperatureVersion()).
+     * since the last sync (GridMrf::temperatureVersion() differs
+     * from the stamp taken then).
      * Call from a single thread between sweeps; cheap no-op when
      * the temperature is unchanged.
      */
     void sync();
 
     /**
-     * Select the Simd kernels' ISA (defaults to
-     * core::activeSimdIsa(), i.e. the widest detected unless
-     * RSU_SIMD narrows it). Any choice produces identical labels —
-     * tests force Scalar here to prove it. Not thread-safe; call
-     * between sweeps.
+     * Select the Simd kernel (defaults to core::activeSimdIsa()).
+     * Either choice produces identical labels — tests force Scalar
+     * here to prove it. Not thread-safe; call between sweeps.
      */
     void setSimdIsa(rsu::core::SimdIsa isa);
-    rsu::core::SimdIsa simdIsa() const { return isa_; }
 
     /**
      * Resample lattice-interior site (x, y) — all four neighbours
-     * must exist. Branch-free candidate loop: five table loads and
-     * an add per candidate. Bit-identical to the Reference kernel.
+     * must exist. Branch-free candidate loop over the singleton row
+     * and the four neighbours' doubleton rows: five loads and an
+     * add per candidate. Bit-identical to the Reference kernel.
      */
     Label updateInterior(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
                          double *weights, SamplerWork &work, int x,
@@ -215,9 +210,10 @@ class SweepTables
      * computes paddedLabels() fixed-point weights 8 candidates at a
      * time and draws the label from one buffered 64-bit variate via
      * integer prefix sums, in one fused call (AVX2 keeps the whole
-     * update in registers for M <= 8). @p weights is caller-owned
+     * update in registers for M <= 16). @p weights is caller-owned
      * scratch with at least paddedLabels() entries; @p block
-     * buffers @p rng's raw stream. Identical results on every ISA.
+     * buffers @p rng's raw stream. Identical results on either
+     * kernel.
      *
      * Defined inline: the per-site cost of this path is a handful
      * of table loads around one kernel call, so the sweep loops
@@ -233,7 +229,7 @@ class SweepTables
     {
         const int site = y * width_ + x;
         const Label *labels = mrf.labels().data();
-        const auto &dt = set_->transposedDoubleton();
+        const auto &dt = set_->doubleton();
         const int m = num_labels_;
         // The singleton rows are the one stream large lattices pull
         // from memory (the doubleton rows and exp table stay
@@ -272,22 +268,6 @@ class SweepTables
                            int x, int y) const;
 
     int paddedLabels() const { return set_->paddedLabels(); }
-    const SweepTableSet &set() const { return *set_; }
-    std::shared_ptr<const SweepTableSet> sharedSet() const
-    {
-        return set_;
-    }
-
-    const rsu::core::SingletonTable &
-    singletonTable() const
-    {
-        return set_->singleton();
-    }
-    const rsu::core::DoubletonTable &
-    doubletonTable() const
-    {
-        return set_->doubleton();
-    }
     const rsu::core::ExpTable &expTable() const { return exp_; }
     const rsu::core::FixedExpTable &
     fixedExpTable() const
@@ -301,9 +281,9 @@ class SweepTables
     int height_;
     int num_labels_;
     std::shared_ptr<const SweepTableSet> set_;
+    uint64_t temperature_version_; // model's version at last rebuild
     rsu::core::ExpTable exp_;            // Table path weights
     rsu::core::FixedExpTable fixed_exp_; // Simd path weights
-    rsu::core::SimdIsa isa_;
     detail::InteriorSampleFn interior_fn_;
 };
 

@@ -74,7 +74,7 @@ class GibbsSampler
      * Select the Simd path's kernel ISA (see
      * SweepTables::setSimdIsa; no-op on the other paths). Any
      * choice yields identical labels — the lane-equivalence tests
-     * force Scalar here against the widest detected ISA.
+     * force Scalar here against core::activeSimdIsa().
      */
     void setSimdIsa(rsu::core::SimdIsa isa) { core_.setSimdIsa(isa); }
 

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace rsu::mrf {
 
@@ -122,6 +123,13 @@ GridMrf::setLabels(const std::vector<Label> &labels)
     if (labels.size() != labels_.size())
         throw std::invalid_argument("GridMrf: label grid size "
                                     "mismatch");
+    for (const Label l : labels) {
+        const int i = indexOfCode(l);
+        if (i < 0 || codes_[i] != l)
+            throw std::invalid_argument(
+                "GridMrf: label " + std::to_string(l) +
+                " is not one of the model's codes");
+    }
     labels_ = labels;
 }
 

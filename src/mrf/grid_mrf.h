@@ -167,7 +167,7 @@ class GridMrf
      * initializeMaximumLikelihood() against an already-built
      * singleton-energy table (same result; skips recomputing the
      * model's energies). The table must have been built for this
-     * model — SweepTables::singletonTable() qualifies.
+     * model — SweepTableSet::singleton() qualifies.
      */
     void
     initializeMaximumLikelihood(const rsu::core::SingletonTable &table);
@@ -202,7 +202,12 @@ class GridMrf
      */
     rsu::core::Data2Table buildData2Table() const;
 
-    /** Bulk-load a labelling (size must match). */
+    /**
+     * Bulk-load a labelling.
+     *
+     * @throws std::invalid_argument if the size differs from
+     *         size() or any label is not one of the model's codes
+     */
     void setLabels(const std::vector<Label> &labels);
 
     /**

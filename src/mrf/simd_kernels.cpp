@@ -2,28 +2,16 @@
 
 #include "core/types.h"
 
-#if defined(__x86_64__) || defined(__i386__)
-#define RSU_SIMD_X86 1
-#include <emmintrin.h>
-#endif
-
 namespace rsu::mrf::detail {
 
 using rsu::core::kEnergyMax;
 
-namespace {
-
-/**
- * Fill @p weights[0, padded_m) with the site-renormalized
- * fixed-point weights — the scalar reference computation shared by
- * the scalar and SSE2 sample kernels (SSE2 vectorizes only the
- * energy accumulation; its selection stays scalar).
- */
-void
-weightsScalar(const uint16_t *s, const int32_t *d0,
-              const int32_t *d1, const int32_t *d2,
-              const int32_t *d3, const uint32_t *w_of_e,
-              uint32_t *weights, int padded_m)
+int
+interiorSampleScalar(const uint16_t *s, const int32_t *d0,
+                     const int32_t *d1, const int32_t *d2,
+                     const int32_t *d3, const uint32_t *w_of_e,
+                     uint32_t *weights, int padded_m, int m,
+                     uint64_t draw)
 {
     // Pass 1: clamped energies (into the weights buffer as int32
     // scratch) and their minimum. Pads clamp to exactly kEnergyMax,
@@ -40,113 +28,17 @@ weightsScalar(const uint16_t *s, const int32_t *d0,
     // [0, kEnergyMax], so indexing is always in-bounds).
     for (int i = 0; i < padded_m; ++i)
         weights[i] = w_of_e[e[i] - emin];
-}
-
-} // namespace
-
-int
-interiorSampleScalar(const uint16_t *s, const int32_t *d0,
-                     const int32_t *d1, const int32_t *d2,
-                     const int32_t *d3, const uint32_t *w_of_e,
-                     uint32_t *weights, int padded_m, int m,
-                     uint64_t draw)
-{
-    weightsScalar(s, d0, d1, d2, d3, w_of_e, weights, padded_m);
     return selectCandidateFixed(draw, weights, m);
 }
-
-#ifdef RSU_SIMD_X86
-
-int
-interiorSampleSse2(const uint16_t *s, const int32_t *d0,
-                   const int32_t *d1, const int32_t *d2,
-                   const int32_t *d3, const uint32_t *w_of_e,
-                   uint32_t *weights, int padded_m, int m,
-                   uint64_t draw)
-{
-    const __m128i clamp = _mm_set1_epi32(kEnergyMax);
-    const __m128i zero = _mm_setzero_si128();
-    int32_t *e = reinterpret_cast<int32_t *>(weights);
-    // Pass 1: 4-wide clamped energies into the scratch, with a
-    // running 4-lane minimum.
-    __m128i mn = clamp;
-    for (int i = 0; i < padded_m; i += 4) {
-        // 4 x uint16 singleton entries widened to int32 lanes.
-        __m128i sv = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(s + i));
-        __m128i ev = _mm_unpacklo_epi16(sv, zero);
-        ev = _mm_add_epi32(
-            ev, _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(d0 + i)));
-        ev = _mm_add_epi32(
-            ev, _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(d1 + i)));
-        ev = _mm_add_epi32(
-            ev, _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(d2 + i)));
-        ev = _mm_add_epi32(
-            ev, _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(d3 + i)));
-        // min(e, 255) without SSE4.1 pminsd: blend through the
-        // compare mask (energies are non-negative).
-        __m128i gt = _mm_cmpgt_epi32(ev, clamp);
-        ev = _mm_or_si128(_mm_andnot_si128(gt, ev),
-                          _mm_and_si128(gt, clamp));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(e + i), ev);
-        gt = _mm_cmpgt_epi32(mn, ev);
-        mn = _mm_or_si128(_mm_andnot_si128(gt, mn),
-                          _mm_and_si128(gt, ev));
-    }
-    alignas(16) int32_t mv[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(mv), mn);
-    int emin = mv[0];
-    emin = mv[1] < emin ? mv[1] : emin;
-    emin = mv[2] < emin ? mv[2] : emin;
-    emin = mv[3] < emin ? mv[3] : emin;
-    // Pass 2: site-renormalized lookups — scalar, no gather before
-    // AVX2 (the adds/clamp/min above are still 4-wide).
-    for (int i = 0; i < padded_m; ++i)
-        weights[i] = w_of_e[e[i] - emin];
-    return selectCandidateFixed(draw, weights, m);
-}
-
-#else // !RSU_SIMD_X86
-
-int
-interiorSampleSse2(const uint16_t *s, const int32_t *d0,
-                   const int32_t *d1, const int32_t *d2,
-                   const int32_t *d3, const uint32_t *w_of_e,
-                   uint32_t *weights, int padded_m, int m,
-                   uint64_t draw)
-{
-    return interiorSampleScalar(s, d0, d1, d2, d3, w_of_e, weights,
-                                padded_m, m, draw);
-}
-
-int
-interiorSampleAvx2(const uint16_t *s, const int32_t *d0,
-                   const int32_t *d1, const int32_t *d2,
-                   const int32_t *d3, const uint32_t *w_of_e,
-                   uint32_t *weights, int padded_m, int m,
-                   uint64_t draw)
-{
-    return interiorSampleScalar(s, d0, d1, d2, d3, w_of_e, weights,
-                                padded_m, m, draw);
-}
-
-#endif // RSU_SIMD_X86
 
 InteriorSampleFn
 interiorSampleFor(rsu::core::SimdIsa isa)
 {
-    switch (isa) {
-    case rsu::core::SimdIsa::Avx2:
+#if defined(__x86_64__) || defined(__i386__)
+    if (isa == rsu::core::SimdIsa::Avx2)
         return &interiorSampleAvx2;
-    case rsu::core::SimdIsa::Sse2:
-        return &interiorSampleSse2;
-    default:
-        return &interiorSampleScalar;
-    }
+#endif
+    return &interiorSampleScalar;
 }
 
 } // namespace rsu::mrf::detail

@@ -3,10 +3,10 @@
  * Candidate-vectorized sampling kernels for the Simd sweep path.
  *
  * An interior-site conditional is, per candidate i,
- *   e_i = singleton[i] + dT[n0][i] + dT[n1][i] + dT[n2][i] + dT[n3][i]
+ *   e_i = singleton[i] + d[n0][i] + d[n1][i] + d[n2][i] + d[n3][i]
  *   w_i = fixedExp[min(e_i, kEnergyMax) - min_j e_j]
- * over rows of the padded SingletonTable and the
- * TransposedDoubletonTable — contiguous in i, so the candidate
+ * over rows of the padded SingletonTable and the neighbour-major
+ * DoubletonTable — contiguous in i, so the candidate
  * dimension vectorizes directly: widening 16->32-bit loads, four
  * int32 adds, one clamp, a running vector min, one gather. The
  * site-minimum subtraction renormalizes per site — exp(x) is only
@@ -20,15 +20,14 @@
  *
  * A kernel *samples*: it computes the weights and immediately
  * draws the candidate from one raw 64-bit variate, so the whole
- * site update stays in registers on the vector ISAs (the AVX2
- * kernel never spills the weights for M <= lane width, and its
- * selection is a branchless 64-bit prefix sum + compare-mask
- * popcount). Kernels exist per ISA (core/simd.h) and MUST be
- * semantically identical to selectCandidateFixed() over the scalar
- * weights: every computation — sums, the associative min, the
- * prefix sums — is exact integer arithmetic, so each ISA draws the
- * same candidate; the Simd path's cross-ISA determinism contract
- * rests on that.
+ * site update stays in registers (the AVX2 kernel never spills
+ * the weights for padded M <= 16, and its selection is a
+ * branchless 64-bit prefix sum + compare-mask popcount). The AVX2
+ * kernel MUST be semantically identical to the scalar one, i.e. to
+ * selectCandidateFixed() over the scalar weights: every
+ * computation — sums, the associative min, the prefix sums — is
+ * exact integer arithmetic, so both draw the same candidate; the
+ * Simd path's Scalar == AVX2 contract rests on that.
  *
  * All rows must be padded to a multiple of kSimdPadLanes (8)
  * candidates; kernels may read the pad lanes and use @p weights as
@@ -39,9 +38,10 @@
  * weights are masked to zero (vector select) or never scanned
  * (scalar select), so they cannot be drawn.
  *
- * Internal header: only fast_sweep.cpp and the per-ISA translation
- * units (simd_kernels.cpp, simd_kernels_avx2.cpp — the latter built
- * with -mavx2, reached only via runtime dispatch) include it.
+ * Internal header, included by the fast sweep (mrf/fast_sweep.h)
+ * and the two kernel translation units (simd_kernels.cpp,
+ * simd_kernels_avx2.cpp — the latter built with -mavx2, reached
+ * only via runtime dispatch).
  */
 
 #ifndef RSU_MRF_SIMD_KERNELS_H
@@ -58,7 +58,7 @@ namespace rsu::mrf::detail {
  * candidate weights (site-renormalized — see the file comment) and
  * return the candidate index in [0, m) drawn with the raw 64-bit
  * variate @p draw. @p s is the site's padded singleton row;
- * @p d0..@p d3 are the transposed-doubleton rows of the four
+ * @p d0..@p d3 are the DoubletonTable rows of the four
  * neighbour codes; @p w_of_e is the 256-entry FixedExpTable data;
  * @p m is the real candidate count. @p weights is caller-owned
  * scratch of @p padded_m entries (a positive multiple of
@@ -79,19 +79,14 @@ int interiorSampleScalar(const uint16_t *s, const int32_t *d0,
                          const int32_t *d3, const uint32_t *w_of_e,
                          uint32_t *weights, int padded_m, int m,
                          uint64_t draw);
-int interiorSampleSse2(const uint16_t *s, const int32_t *d0,
-                       const int32_t *d1, const int32_t *d2,
-                       const int32_t *d3, const uint32_t *w_of_e,
-                       uint32_t *weights, int padded_m, int m,
-                       uint64_t draw);
 int interiorSampleAvx2(const uint16_t *s, const int32_t *d0,
                        const int32_t *d1, const int32_t *d2,
                        const int32_t *d3, const uint32_t *w_of_e,
                        uint32_t *weights, int padded_m, int m,
                        uint64_t draw);
 
-/** The kernel for @p isa (Sse2/Avx2 fall back to scalar on
- * non-x86 builds, where the dispatcher never requests them). */
+/** The kernel for @p isa (Avx2 falls back to scalar on non-x86
+ * builds, where activeSimdIsa() never selects it). */
 InteriorSampleFn interiorSampleFor(rsu::core::SimdIsa isa);
 
 /**

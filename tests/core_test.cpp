@@ -424,6 +424,20 @@ TEST(RsuG, RejectsBadConfigs)
     EXPECT_THROW(unit.initialize(4, -1.0), std::invalid_argument);
 }
 
+TEST(RsuG, CircuitAccessorChecksIndex)
+{
+    RsuGConfig config;
+    config.width = 2;
+    config.circuits_per_lane = 3;
+    RsuG unit(config, 7);
+    EXPECT_NO_THROW(unit.circuit(0, 0));
+    EXPECT_NO_THROW(unit.circuit(1, 2));
+    EXPECT_THROW(unit.circuit(-1, 0), std::out_of_range);
+    EXPECT_THROW(unit.circuit(2, 0), std::out_of_range);
+    EXPECT_THROW(unit.circuit(0, -1), std::out_of_range);
+    EXPECT_THROW(unit.circuit(0, 3), std::out_of_range);
+}
+
 TEST(RsuIsa, NeighborPackingRoundTrips)
 {
     const std::array<Label, 4> labels = {5, 0, 63, 17};

@@ -139,6 +139,25 @@ TEST(GridMrf, LabelCodeTablesValidate)
     EXPECT_THROW(GridMrf(config, singleton), std::invalid_argument);
 }
 
+TEST(GridMrf, SetLabelsRejectsLabelsOutsideTheCodes)
+{
+    ToySingleton singleton(2);
+    MrfConfig config = toyConfig(2, 2, 3);
+    config.label_codes = {1, 9, 17};
+    GridMrf mrf(config, singleton);
+    mrf.setLabels({1, 9, 17, 1});
+    EXPECT_EQ(mrf.labels(), (std::vector<Label>{1, 9, 17, 1}));
+
+    // 5 is no code; 65 and 255 alias code 1 once masked to 6 bits.
+    for (const Label bad : {5, 65, 255}) {
+        EXPECT_THROW(mrf.setLabels({1, 9, bad, 1}),
+                     std::invalid_argument)
+            << "label=" << int(bad);
+        EXPECT_EQ(mrf.labels(), (std::vector<Label>{1, 9, 17, 1}));
+    }
+    EXPECT_THROW(mrf.setLabels({1, 9, 17}), std::invalid_argument);
+}
+
 TEST(GridMrf, RejectsBadConfigs)
 {
     ToySingleton singleton(2);

@@ -426,6 +426,23 @@ TEST(InferenceEngineTest, AnnealingJobTracksBestLabelling)
     EXPECT_EQ(check.totalEnergy(), result.final_energy);
 }
 
+TEST(InferenceEngineTest, InitialLabelsOutsideTheCodesFailTheJob)
+{
+    Problem p(12, 9, 2, 71);
+    InferenceEngine engine({.threads = 1});
+
+    InferenceJob job;
+    job.config = p.config;
+    job.singleton = p.modelPtr();
+    job.sweeps = 1;
+    // Codes are 0 and 1; 5 would index past the model's two means.
+    job.initial_labels.assign(p.config.width * p.config.height, 0);
+    job.initial_labels[17] = 5;
+    auto future = engine.submit(std::move(job)).future;
+    EXPECT_THROW(future.get(), std::invalid_argument);
+    EXPECT_EQ(engine.pendingJobs(), 0);
+}
+
 TEST(InferenceEngineTest, RejectsBadJobs)
 {
     InferenceEngine engine({.threads = 1});

@@ -21,7 +21,9 @@
  * Two more sections follow the per-path grid:
  * - parallel: the chromatic runtime sweeping the largest size at
  *   the largest M for Table/Simd x shard counts {1, 2, 4, 8}.
- *   Read these against the metadata's hardware_concurrency — on a
+ *   Each row's vs_1_shard is its rate over the same path's
+ *   1-shard rate — the multicore-scaling regression guard. Read
+ *   these against the metadata's hardware_concurrency — on a
  *   1-thread host the shard sweep measures determinism overhead,
  *   not scaling.
  * - table_cache: the InferenceEngine's cross-job SweepTableSet
@@ -37,7 +39,8 @@
  *                 "simd_sites_per_sec": V,
  *                 "table_build_seconds": B, "speedup": X,
  *                 "simd_speedup": Y, "simd_vs_table": Z}, ...],
- *    "parallel": [{"path": P, "shards": S, "sites_per_sec": R},...],
+ *    "parallel": [{"path": P, "shards": S, "sites_per_sec": R,
+ *                  "vs_1_shard": Q},...],
  *    "table_cache": {"cold_build_seconds": C,
  *                    "warm_build_seconds": W, "warm_hit": true}}
  *
@@ -160,6 +163,7 @@ struct ParallelRow
     const char *path;
     int shards;
     double sites_per_sec;
+    double vs_1_shard; // sites_per_sec over the path's 1-shard rate
 };
 
 double
@@ -403,11 +407,13 @@ main(int argc, char **argv)
         std::max(1L, (budget + par_sites - 1) / par_sites));
 
     std::printf("\nchromatic runtime, size %d, %d labels "
-                "(sites/sec):\n%8s %6s %14s %14s\n",
-                par_size, par_m, "shards", "sweeps",
-                "table", "simd");
+                "(sites/sec, x 1 shard):\n"
+                "%8s %6s %14s %6s %14s %6s\n",
+                par_size, par_m, "shards", "sweeps", "table", "",
+                "simd", "");
     runtime::ThreadPool pool(0); // hardware concurrency
     std::vector<ParallelRow> parallel_rows;
+    double table_one = 0.0, simd_one = 0.0; // 1-shard rates
     for (const int shards : {1, 2, 4, 8}) {
         mrf::GridMrf table_mrf(par_config, par_model);
         const double table_rate = measureChromatic(
@@ -417,10 +423,17 @@ main(int argc, char **argv)
         const double simd_rate = measureChromatic(
             simd_mrf, pool, mrf::SweepPath::Simd, shards,
             par_sweeps);
-        parallel_rows.push_back({"table", shards, table_rate});
-        parallel_rows.push_back({"simd", shards, simd_rate});
-        std::printf("%8d %6d %14.0f %14.0f\n", shards, par_sweeps,
-                    table_rate, simd_rate);
+        if (shards == 1) {
+            table_one = table_rate;
+            simd_one = simd_rate;
+        }
+        parallel_rows.push_back(
+            {"table", shards, table_rate, table_rate / table_one});
+        parallel_rows.push_back(
+            {"simd", shards, simd_rate, simd_rate / simd_one});
+        std::printf("%8d %6d %14.0f %5.2fx %14.0f %5.2fx\n", shards,
+                    par_sweeps, table_rate, table_rate / table_one,
+                    simd_rate, simd_rate / simd_one);
     }
 
     // Engine table cache: identical jobs back to back — the second
@@ -476,8 +489,9 @@ main(int argc, char **argv)
         const ParallelRow &r = parallel_rows[i];
         std::fprintf(json,
                      "    {\"path\": \"%s\", \"shards\": %d, "
-                     "\"sites_per_sec\": %.1f}%s\n",
-                     r.path, r.shards, r.sites_per_sec,
+                     "\"sites_per_sec\": %.1f, "
+                     "\"vs_1_shard\": %.3f}%s\n",
+                     r.path, r.shards, r.sites_per_sec, r.vs_1_shard,
                      i + 1 < parallel_rows.size() ? "," : "");
     }
     std::fprintf(json,

@@ -1,23 +1,35 @@
 #include "core/tables.h"
 
 #include <cmath>
+#include <new>
 #include <stdexcept>
+
+#include <sys/mman.h>
 
 namespace rsu::core {
 
-int
-SingletonTable::argminRow(int site) const
+void *
+mapPages(std::size_t bytes)
 {
-    const uint16_t *r = row(site);
-    int best = 0;
-    uint16_t best_e = r[0];
-    for (int i = 1; i < num_labels_; ++i) {
-        if (r[i] < best_e) {
-            best_e = r[i];
-            best = i;
-        }
-    }
-    return best;
+#ifdef __SANITIZE_ADDRESS__
+    return ::operator new(bytes);
+#else
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
+#endif
+}
+
+void
+unmapPages(void *p, std::size_t bytes) noexcept
+{
+#ifdef __SANITIZE_ADDRESS__
+    ::operator delete(p, bytes);
+#else
+    munmap(p, bytes);
+#endif
 }
 
 DoubletonTable::DoubletonTable(const EnergyUnit &unit,

@@ -46,19 +46,70 @@ namespace rsu::core {
 using RowParallelFor =
     std::function<void(int n, const std::function<void(int)> &)>;
 
+/** Map @p bytes of page-aligned memory (std::bad_alloc on
+ * failure). Under AddressSanitizer, which does not police mapped
+ * pages, this is plain ::operator new instead. */
+void *mapPages(std::size_t bytes);
+
+/** Release memory from mapPages(@p bytes). */
+void unmapPages(void *p, std::size_t bytes) noexcept;
+
 /**
- * Per-site x per-candidate singleton clique energies.
+ * Allocator for the per-site tables: each buffer gets pages of its
+ * own, which go back to the system the moment the table dies.
+ * Through malloc, multi-megabyte tables of past models stay resident
+ * in the heap (glibc's dynamic mmap threshold climbs past them), so
+ * an engine that builds and evicts tables keeps growing.
+ */
+template <typename T>
+struct PageAllocator
+{
+    using value_type = T;
+
+    PageAllocator() = default;
+    template <typename U>
+    PageAllocator(const PageAllocator<U> &) noexcept {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(mapPages(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        unmapPages(p, n * sizeof(T));
+    }
+
+    friend bool
+    operator==(const PageAllocator &, const PageAllocator &)
+    {
+        return true;
+    }
+};
+
+/** Byte buffer in page-mapped storage. */
+using PageBytes = std::vector<uint8_t, PageAllocator<uint8_t>>;
+
+/**
+ * Per-site x per-candidate singleton clique energies, saturated to
+ * the 8-bit datapath, plus each site's maximum-likelihood candidate.
  *
  * Row layout is site-major: row(site) is paddedLabels() consecutive
- * entries, the first numLabels() of which are real candidates.
- * Entries are the *exact* integer EnergyUnit::singleton() values
- * (6-bit data squared differences reach 3969 before the configured
- * shift, so entries are 16-bit, not 8). Rows may be padded past
- * numLabels() up to a SIMD lane multiple; padding entries hold
- * kEnergyMax so a vector kernel that sums them anyway lands on the
- * shared min(e, kEnergyMax) clamp and the lane is harmless (the
- * candidate select never scans past numLabels()). Memory:
- * 2 * width * height * padded_labels bytes.
+ * entries, the first numLabels() of which are real candidates. An
+ * entry is min(EnergyUnit::singleton(), kEnergyMax). That loses
+ * nothing a sweep can see: every reader computes
+ * min(s + sum of doubletons, kEnergyMax) with s and every doubleton
+ * >= 0, and min(min(s, 255) + d, 255) == min(s + d, 255). Rows may
+ * be padded past numLabels() up to a SIMD lane multiple; padding
+ * entries hold kEnergyMax so a vector kernel that sums them anyway
+ * lands on the shared clamp and the lane is harmless (the candidate
+ * select never scans past numLabels()).
+ *
+ * The one reader that needs the unclamped energies is the ML start,
+ * so the build records each site's argmin over them (argminRow()).
+ * Memory: width * height * (padded_labels + 1) bytes, page-mapped.
  */
 class SingletonTable
 {
@@ -66,7 +117,7 @@ class SingletonTable
     /**
      * Precompute every entry by calling @p energy(x, y, candidate)
      * once per (site, candidate). The callable must return the
-     * non-negative integer singleton energy (fits in 16 bits).
+     * non-negative integer singleton energy.
      *
      * @param padded_labels row stride in entries (0 means
      *        num_labels, i.e. no padding); must be >= num_labels
@@ -83,22 +134,32 @@ class SingletonTable
           padded_labels_(padded_labels == 0 ? num_labels
                                             : padded_labels),
           entries_(static_cast<size_t>(width) * height *
-                   padded_labels_)
+                   padded_labels_),
+          argmins_(static_cast<size_t>(width) * height)
     {
         assert(padded_labels_ >= num_labels_);
+        assert(num_labels_ <= kMaxLabels);
         const auto fill_row = [&](int y) {
-            size_t at = static_cast<size_t>(y) * width_ *
-                        padded_labels_;
-            for (int x = 0; x < width_; ++x) {
+            size_t site = static_cast<size_t>(y) * width_;
+            uint8_t *r = entries_.data() + site * padded_labels_;
+            for (int x = 0; x < width_; ++x, ++site) {
+                // First minimum of the unclamped energies.
+                int best = 0;
+                int best_e = 0;
                 for (int i = 0; i < num_labels_; ++i) {
                     const int e = energy(x, y, i);
-                    assert(e >= 0 && e <= 0xffff);
-                    entries_[at + i] = static_cast<uint16_t>(e);
+                    assert(e >= 0);
+                    if (i == 0 || e < best_e) {
+                        best = i;
+                        best_e = e;
+                    }
+                    r[i] = static_cast<uint8_t>(
+                        e < kEnergyMax ? e : kEnergyMax);
                 }
                 for (int i = num_labels_; i < padded_labels_; ++i)
-                    entries_[at + i] =
-                        static_cast<uint16_t>(kEnergyMax);
-                at += padded_labels_;
+                    r[i] = static_cast<uint8_t>(kEnergyMax);
+                argmins_[site] = static_cast<uint8_t>(best);
+                r += padded_labels_;
             }
         };
         if (parallel)
@@ -115,33 +176,34 @@ class SingletonTable
     /** Row stride in entries (>= numLabels()). */
     int paddedLabels() const { return padded_labels_; }
 
-    /** Candidate energies of @p site (paddedLabels() entries, the
-     * first numLabels() real). */
-    const uint16_t *
+    /** Saturated candidate energies of @p site (paddedLabels()
+     * entries, the first numLabels() real). */
+    const uint8_t *
     row(int site) const
     {
         return entries_.data() +
                static_cast<size_t>(site) * padded_labels_;
     }
 
-    uint16_t at(int site, int candidate) const
+    uint8_t at(int site, int candidate) const
     {
         return row(site)[candidate];
     }
 
     /**
-     * Candidate index with the smallest singleton energy at
-     * @p site; ties resolve to the lowest index, matching a
-     * strict-less scan.
+     * Candidate index with the smallest *unclamped* singleton energy
+     * at @p site; ties resolve to the lowest index, matching a
+     * strict-less scan. Recorded at build time, so this is a load.
      */
-    int argminRow(int site) const;
+    int argminRow(int site) const { return argmins_[site]; }
 
   private:
     int width_;
     int height_;
     int num_labels_;
     int padded_labels_;
-    std::vector<uint16_t> entries_;
+    PageBytes entries_;
+    PageBytes argmins_;
 };
 
 /**
@@ -276,7 +338,8 @@ class FixedExpTable
  * The RSU path transfers raw data2 operands (not energies) to the
  * device, so its staging table stores the model's data2 bytes; a
  * row can be handed to RsuG::sample() directly, eliminating the
- * per-site virtual data2() calls without copying.
+ * per-site virtual data2() calls without copying. Page-mapped, like
+ * SingletonTable.
  */
 class Data2Table
 {
@@ -307,7 +370,7 @@ class Data2Table
 
   private:
     int num_labels_;
-    std::vector<uint8_t> entries_;
+    PageBytes entries_;
 };
 
 } // namespace rsu::core

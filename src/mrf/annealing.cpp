@@ -42,16 +42,17 @@ AnnealingSchedule::temperatures() const
 int64_t
 anneal(GridMrf &mrf, const AnnealingSchedule &schedule,
        const std::function<void(double)> &set_temperature,
-       const std::function<void()> &sweep)
+       const std::function<void()> &sweep,
+       const rsu::core::RowParallelFor &parallel)
 {
-    int64_t best_energy = mrf.totalEnergy();
+    int64_t best_energy = mrf.totalEnergy(parallel);
     std::vector<Label> best_labels = mrf.labels();
 
     for (const double t : schedule.temperatures()) {
         set_temperature(t);
         for (int s = 0; s < schedule.sweeps_per_stage; ++s) {
             sweep();
-            const int64_t e = mrf.totalEnergy();
+            const int64_t e = mrf.totalEnergy(parallel);
             if (e < best_energy) {
                 best_energy = e;
                 best_labels = mrf.labels();

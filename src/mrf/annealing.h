@@ -41,12 +41,16 @@ struct AnnealingSchedule
  * @param set_temperature callback installing a stage temperature
  *        into the sampling machinery (e.g. rebuilding the RSU LUT)
  * @param sweep one MCMC iteration at the current temperature
+ * @param parallel optional row runner for the total-energy scan
+ *        after every sweep (see GridMrf::totalEnergy); the result
+ *        is identical with or without it
  * @return the best (lowest) total energy seen and the labelling
  *         that achieved it, which is restored into the model
  */
 int64_t anneal(GridMrf &mrf, const AnnealingSchedule &schedule,
                const std::function<void(double)> &set_temperature,
-               const std::function<void()> &sweep);
+               const std::function<void()> &sweep,
+               const rsu::core::RowParallelFor &parallel = {});
 
 } // namespace rsu::mrf
 

@@ -107,7 +107,7 @@ SweepTables::updateInterior(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
     const int32_t *d2 = dt.row(labels[site - 1]);
     const int32_t *d3 = dt.row(labels[site + 1]);
 
-    const uint16_t *s = set_->singleton().row(site);
+    const uint8_t *s = set_->singleton().row(site);
     const double *et = exp_.data();
     const int m = num_labels_;
     for (int i = 0; i < m; ++i) {
@@ -141,7 +141,7 @@ SweepTables::updateBorder(GridMrf &mrf, rsu::rng::Xoshiro256 &rng,
     const int valid = neighbourRows(set_->doubleton(),
                                     mrf.labels().data(), width_,
                                     height_, x, y, d);
-    const uint16_t *s = set_->singleton().row(y * width_ + x);
+    const uint8_t *s = set_->singleton().row(y * width_ + x);
     const double *et = exp_.data();
     const int m = num_labels_;
     for (int i = 0; i < m; ++i) {
@@ -183,7 +183,7 @@ SweepTables::updateBorderSimd(GridMrf &mrf,
     // minimum exactly like the interior kernels (see
     // simd_kernels.h), reusing the weights buffer as energy
     // scratch.
-    const uint16_t *s = set_->singleton().row(y * width_ + x);
+    const uint8_t *s = set_->singleton().row(y * width_ + x);
     const uint32_t *wt = fixed_exp_.data();
     const int m = num_labels_;
     int32_t *energies = reinterpret_cast<int32_t *>(weights);

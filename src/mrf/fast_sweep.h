@@ -234,16 +234,16 @@ class SweepTables
         // The singleton rows are the one stream large lattices pull
         // from memory (the doubleton rows and exp table stay
         // cached). For wide candidate rows — the generic kernel,
-        // where each row spans multiple cache lines — fetch 8
+        // where a row can straddle two cache lines — fetch 8
         // checkerboard iterations ahead to keep the row loads off
         // the kernel's critical path; the register-resident M <= 16
         // kernels pack several sites per line and the extra
         // prefetch traffic only costs them.
         if (set_->paddedLabels() > 16 &&
             site + 16 < width_ * height_) {
-            const uint16_t *ahead = set_->singleton().row(site + 16);
+            const uint8_t *ahead = set_->singleton().row(site + 16);
             __builtin_prefetch(ahead);
-            __builtin_prefetch(ahead + 32);
+            __builtin_prefetch(ahead + set_->paddedLabels() - 1);
         }
         const int choice = interior_fn_(
             set_->singleton().row(site), dt.row(labels[site - width_]),

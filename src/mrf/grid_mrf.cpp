@@ -193,10 +193,13 @@ GridMrf::conditionalDistribution(int x, int y) const
 }
 
 int64_t
-GridMrf::totalEnergy() const
+GridMrf::totalEnergy(const rsu::core::RowParallelFor &parallel) const
 {
-    int64_t total = 0;
-    for (int y = 0; y < height(); ++y) {
+    // Row y owns its singletons, its horizontal edges and the
+    // vertical edges down to row y + 1.
+    std::vector<int64_t> rows(static_cast<size_t>(height()));
+    const auto sum_row = [&](int y) {
+        int64_t total = 0;
         for (int x = 0; x < width(); ++x) {
             const Label l = label(x, y);
             total += energy_unit_.singleton(
@@ -206,7 +209,16 @@ GridMrf::totalEnergy() const
             if (y + 1 < height())
                 total += energy_unit_.doubleton(l, label(x, y + 1));
         }
-    }
+        rows[y] = total;
+    };
+    if (parallel)
+        parallel(height(), sum_row);
+    else
+        for (int y = 0; y < height(); ++y)
+            sum_row(y);
+    int64_t total = 0;
+    for (const int64_t r : rows)
+        total += r;
     return total;
 }
 

@@ -165,9 +165,10 @@ class GridMrf
 
     /**
      * initializeMaximumLikelihood() against an already-built
-     * singleton-energy table (same result; skips recomputing the
-     * model's energies). The table must have been built for this
-     * model — SweepTableSet::singleton() qualifies.
+     * singleton-energy table (same result; copies the argmins the
+     * table recorded instead of recomputing the model's energies).
+     * The table must have been built for this model —
+     * SweepTableSet::singleton() qualifies.
      */
     void
     initializeMaximumLikelihood(const rsu::core::SingletonTable &table);
@@ -175,7 +176,9 @@ class GridMrf
     /**
      * Per-site x per-candidate singleton-energy table for this
      * model: entry (site, i) is
-     * energyUnit().singleton(data1(x, y), data2(x, y, codeOf(i))).
+     * energyUnit().singleton(data1(x, y), data2(x, y, codeOf(i)))
+     * saturated at kEnergyMax, and argminRow(site) is the site's
+     * maximum-likelihood candidate.
      * Built once per call by scanning the static SingletonModel;
      * the table-driven sweep path and ML initialization share it.
      */
@@ -244,8 +247,12 @@ class GridMrf
      * Total configuration energy: every singleton once plus every
      * lattice edge's doubleton once (unsaturated integer sum; used
      * for convergence trajectories, not by the datapath).
+     * @p parallel optionally fans the rows out over worker threads
+     * (runtime::parallelRowRunner): each row's exact partial sum is
+     * added in row order, so the result is identical either way.
      */
-    int64_t totalEnergy() const;
+    int64_t
+    totalEnergy(const rsu::core::RowParallelFor &parallel = {}) const;
 
     int
     index(int x, int y) const

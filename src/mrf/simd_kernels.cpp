@@ -7,7 +7,7 @@ namespace rsu::mrf::detail {
 using rsu::core::kEnergyMax;
 
 int
-interiorSampleScalar(const uint16_t *s, const int32_t *d0,
+interiorSampleScalar(const uint8_t *s, const int32_t *d0,
                      const int32_t *d1, const int32_t *d2,
                      const int32_t *d3, const uint32_t *w_of_e,
                      uint32_t *weights, int padded_m, int m,

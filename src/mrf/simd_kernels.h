@@ -7,7 +7,7 @@
  *   w_i = fixedExp[min(e_i, kEnergyMax) - min_j e_j]
  * over rows of the padded SingletonTable and the neighbour-major
  * DoubletonTable — contiguous in i, so the candidate
- * dimension vectorizes directly: widening 16->32-bit loads, four
+ * dimension vectorizes directly: widening 8->32-bit loads, four
  * int32 adds, one clamp, a running vector min, one gather. The
  * site-minimum subtraction renormalizes per site — exp(x) is only
  * defined up to a factor inside a softmax, and shifting the
@@ -65,7 +65,7 @@ namespace rsu::mrf::detail {
  * core::kSimdPadLanes); its contents after the call are
  * unspecified.
  */
-using InteriorSampleFn = int (*)(const uint16_t *s,
+using InteriorSampleFn = int (*)(const uint8_t *s,
                                  const int32_t *d0,
                                  const int32_t *d1,
                                  const int32_t *d2,
@@ -74,12 +74,12 @@ using InteriorSampleFn = int (*)(const uint16_t *s,
                                  uint32_t *weights, int padded_m,
                                  int m, uint64_t draw);
 
-int interiorSampleScalar(const uint16_t *s, const int32_t *d0,
+int interiorSampleScalar(const uint8_t *s, const int32_t *d0,
                          const int32_t *d1, const int32_t *d2,
                          const int32_t *d3, const uint32_t *w_of_e,
                          uint32_t *weights, int padded_m, int m,
                          uint64_t draw);
-int interiorSampleAvx2(const uint16_t *s, const int32_t *d0,
+int interiorSampleAvx2(const uint8_t *s, const int32_t *d0,
                        const int32_t *d1, const int32_t *d2,
                        const int32_t *d3, const uint32_t *w_of_e,
                        uint32_t *weights, int padded_m, int m,

@@ -35,16 +35,16 @@ namespace {
 
 /** Clamped energies of the 8 candidates starting at @p i. */
 inline __m256i
-energies8(const uint16_t *s, const int32_t *d0, const int32_t *d1,
+energies8(const uint8_t *s, const int32_t *d0, const int32_t *d1,
           const int32_t *d2, const int32_t *d3, int i)
 {
     const auto load = [i](const int32_t *d) {
         return _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(d + i));
     };
-    // 8 x uint16 singleton entries widened to int32 lanes.
-    __m256i ev = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(s + i)));
+    // 8 x uint8 singleton entries widened to int32 lanes.
+    __m256i ev = _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(s + i)));
     ev = _mm256_add_epi32(ev, load(d0));
     ev = _mm256_add_epi32(ev, load(d1));
     ev = _mm256_add_epi32(ev, load(d2));
@@ -139,7 +139,7 @@ scaledDrawVec(uint64_t draw, __m256i hi)
 } // namespace
 
 int
-interiorSampleAvx2(const uint16_t *s, const int32_t *d0,
+interiorSampleAvx2(const uint8_t *s, const int32_t *d0,
                    const int32_t *d1, const int32_t *d2,
                    const int32_t *d3, const uint32_t *w_of_e,
                    uint32_t *weights, int padded_m, int m,

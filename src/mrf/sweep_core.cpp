@@ -18,12 +18,8 @@ SweepCore::SweepCore(GridMrf &mrf,
         tables_ = table_set ? std::make_unique<SweepTables>(
                                   mrf, std::move(table_set))
                             : std::make_unique<SweepTables>(mrf);
-    for (std::size_t c = 0; c < chains_.size(); ++c) {
+    for (std::size_t c = 0; c < chains_.size(); ++c)
         chains_[c].rng = streams[c];
-        chains_[c].weights.resize(mrf.numLabels());
-        if (path_ == SweepPath::Simd)
-            chains_[c].fixed_weights.resize(tables_->paddedLabels());
-    }
 }
 
 SweepCore::SweepCore(GridMrf &mrf, const rsu::core::RsuGConfig &config,

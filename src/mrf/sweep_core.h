@@ -30,6 +30,7 @@
 #ifndef RSU_MRF_SWEEP_CORE_H
 #define RSU_MRF_SWEEP_CORE_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,14 +47,23 @@
 
 namespace rsu::mrf {
 
-/** Everything one chain touches during a sweep. */
-struct SweepChain
+/**
+ * Everything one chain touches during a sweep, on cache lines of its
+ * own. Chains run on different cores and write their rng state,
+ * scratch and work counters at every site, so the struct is
+ * line-aligned and the scratch is inline: a line shared by two
+ * chains would bounce between their cores on every site update.
+ */
+struct alignas(64) SweepChain
 {
     rsu::rng::Xoshiro256 rng{0};
-    std::vector<double> weights;         // Reference/Table scratch
-    std::vector<uint32_t> fixed_weights; // Simd scratch (padded)
-    rsu::rng::BlockRng block;            // Simd draw buffer
-    rsu::core::RsuG *unit = nullptr;     // RsuGibbs device, if any
+    // Reference/Table scratch (numLabels() entries used).
+    std::array<double, rsu::core::kMaxLabels> weights{};
+    // Simd scratch (paddedLabels() <= kMaxLabels entries used).
+    alignas(64) std::array<uint32_t, rsu::core::kMaxLabels>
+        fixed_weights{};
+    rsu::rng::BlockRng block;        // Simd draw buffer
+    rsu::core::RsuG *unit = nullptr; // RsuGibbs device, if any
     SamplerWork work;
 };
 

@@ -40,6 +40,8 @@ ThreadPool::run(int n, const std::function<void(int)> &task)
 {
     if (n < 0)
         throw std::invalid_argument("ThreadPool::run: need n >= 0");
+    if (n == 0)
+        return;
 
     // Join state on the caller's frame. Each queued closure holds
     // only a pointer to it and its index, which keeps the closure
@@ -51,28 +53,37 @@ ThreadPool::run(int n, const std::function<void(int)> &task)
         std::condition_variable done;
         int remaining;
         std::exception_ptr first_error;
+
+        void
+        call(int i)
+        {
+            std::exception_ptr error;
+            try {
+                task(i);
+            } catch (...) {
+                error = std::current_exception();
+            }
+            // Notify under the lock: the caller's frame (and this
+            // object) may vanish the moment it can reacquire it.
+            const std::lock_guard<std::mutex> lock(mutex);
+            if (error && !first_error)
+                first_error = error;
+            if (--remaining == 0)
+                done.notify_all();
+        }
     } join{task, {}, {}, n, nullptr};
 
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (int i = 0; i < n; ++i)
-            queue_.push_back([j = &join, i] {
-                std::exception_ptr error;
-                try {
-                    j->task(i);
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                // Notify under the lock: the caller's frame (and
-                // `join`) may vanish the moment it can reacquire it.
-                const std::lock_guard<std::mutex> lock(j->mutex);
-                if (error && !j->first_error)
-                    j->first_error = error;
-                if (--j->remaining == 0)
-                    j->done.notify_all();
-            });
+    // Indices 1..n-1 go to the workers; index 0 runs right here, so
+    // the caller does a shard's work instead of only waiting on it.
+    if (n > 1) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            for (int i = 1; i < n; ++i)
+                queue_.push_back([j = &join, i] { j->call(i); });
+        }
+        cv_.notify_all();
     }
-    cv_.notify_all();
+    join.call(0);
 
     std::unique_lock<std::mutex> lock(join.mutex);
     join.done.wait(lock, [&join] { return join.remaining == 0; });

@@ -7,11 +7,12 @@
  * structured: all same-colour checkerboard sites may update at once,
  * but a colour phase must fully retire before the opposite colour
  * starts. That is one fork-join per phase, so the pool offers exactly
- * that: run(n, task) fans n indices out over a fixed set of workers
- * draining one FIFO queue (no work stealing) and returns once all of
- * them finished. Shard tasks within a phase are uniform row bands of
- * one lattice, so stealing would buy nothing and cost
- * determinism-debugging pain.
+ * that: run(n, task) runs index 0 on the caller and fans the other
+ * n - 1 indices out over a fixed set of workers draining one FIFO
+ * queue (no work stealing), and returns once all of them finished.
+ * Shard tasks within a phase are uniform row bands of one lattice,
+ * so stealing would buy nothing and cost determinism-debugging
+ * pain.
  */
 
 #ifndef RSU_RUNTIME_THREAD_POOL_H
@@ -46,12 +47,13 @@ class ThreadPool
     int size() const { return static_cast<int>(threads_.size()); }
 
     /**
-     * Fork-join: run task(i) once for every i in [0, n) on the
-     * workers and block until all n calls returned. If any call
-     * threw, the first exception is rethrown — only after every
-     * other call finished, so nothing still references the caller's
-     * frame. Calls from several threads may interleave on the pool;
-     * never call run() from inside a task.
+     * Fork-join: run task(i) once for every i in [0, n) and block
+     * until all n calls returned. Index 0 runs on the calling
+     * thread, indices 1..n-1 on the workers; n == 0 calls nothing.
+     * If any call threw, the first exception is rethrown — only
+     * after every other call finished, so nothing still references
+     * the caller's frame. Calls from several threads may interleave
+     * on the pool; never call run() from inside a task.
      */
     void run(int n, const std::function<void(int)> &task);
 

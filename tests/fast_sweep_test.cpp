@@ -12,19 +12,26 @@
  * the logical SamplerWork accounting.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/simd.h"
 #include "core/tables.h"
 #include "core/types.h"
+#include "mrf/annealing.h"
 #include "mrf/fast_sweep.h"
 #include "mrf/gibbs.h"
 #include "mrf/grid_mrf.h"
 #include "mrf/schedule.h"
+#include "mrf/sweep_core.h"
+#include "rng/streams.h"
 #include "runtime/chromatic_sampler.h"
 #include "runtime/parallel_sweep.h"
 #include "runtime/thread_pool.h"
@@ -39,6 +46,7 @@ using rsu::core::EnergyUnit;
 using rsu::core::ExpTable;
 using rsu::core::Label;
 using rsu::core::LabelMode;
+using rsu::core::SimdIsa;
 using rsu::mrf::GibbsSampler;
 using rsu::mrf::GridMrf;
 using rsu::mrf::MrfConfig;
@@ -516,6 +524,236 @@ TEST(FastSweepTest, SingleSiteUpdatesMatchReference)
         EXPECT_EQ(reference.updateSite(x, y), fast.updateSite(x, y))
             << "(" << x << ", " << y << ")";
     EXPECT_EQ(ref_mrf.labels(), fast_mrf.labels());
+}
+
+static_assert(alignof(rsu::mrf::SweepChain) >= 64,
+              "each sweep chain must start a cache line of its own");
+
+TEST(SweepChainTest, NeighbouringChainsNeverShareACacheLine)
+{
+    // Every field a chain writes per site, as a byte range.
+    struct Range
+    {
+        const void *p;
+        std::size_t bytes;
+    };
+    const auto hot = [](const rsu::mrf::SweepChain &c) {
+        return std::vector<Range>{
+            {&c.rng, sizeof(c.rng)},
+            {c.weights.data(), c.weights.size() * sizeof(double)},
+            {c.fixed_weights.data(),
+             c.fixed_weights.size() * sizeof(uint32_t)},
+            {&c.block, sizeof(c.block)},
+            {&c.work, sizeof(c.work)}};
+    };
+    const auto first_line = [](const Range &r) {
+        return reinterpret_cast<std::uintptr_t>(r.p) / 64;
+    };
+    const auto last_line = [](const Range &r) {
+        return (reinterpret_cast<std::uintptr_t>(r.p) + r.bytes - 1) /
+               64;
+    };
+
+    for (const SweepPath path :
+         {SweepPath::Reference, SweepPath::Table, SweepPath::Simd}) {
+        for (const int labels : {2, 5}) {
+            Problem p(16, 12, labels, 3);
+            GridMrf mrf(p.config, p.model);
+            rsu::mrf::SweepCore core(
+                mrf, rsu::rng::splitStreams(7, 8), path);
+            for (int c = 0; c + 1 < core.chains(); ++c) {
+                for (const Range &a : hot(core.chain(c)))
+                    for (const Range &b : hot(core.chain(c + 1)))
+                        ASSERT_TRUE(last_line(a) < first_line(b) ||
+                                    last_line(b) < first_line(a))
+                            << "chains " << c << " and " << c + 1
+                            << " share a line (labels=" << labels
+                            << ")";
+            }
+        }
+    }
+}
+
+/**
+ * Singleton data that overflows the 8-bit datapath at
+ * singleton_shift = 0: on every third site all candidates cost more
+ * than kEnergyMax, with the cheapest one rarely candidate 0; the
+ * other sites mix small and large energies.
+ */
+class SaturatingModel : public rsu::mrf::SingletonModel
+{
+  public:
+    static bool
+    allOver(int x, int y)
+    {
+        return (x + y) % 3 == 0;
+    }
+
+    uint8_t
+    data1(int x, int y) const override
+    {
+        return allOver(x, y)
+                   ? 0
+                   : static_cast<uint8_t>((5 * x + 3 * y) & 63);
+    }
+
+    uint8_t
+    data2(int x, int y, Label label) const override
+    {
+        if (allOver(x, y)) // (>= 20)^2 = 400 > 255 for every label
+            return static_cast<uint8_t>(20 + 7 * ((label + x) % 6));
+        return static_cast<uint8_t>((11 * label + x + y) & 63);
+    }
+};
+
+MrfConfig
+saturatingConfig()
+{
+    MrfConfig config;
+    config.width = 23;
+    config.height = 17;
+    config.num_labels = 6;
+    config.energy.singleton_shift = 0;
+    config.temperature = 24.0;
+    return config;
+}
+
+TEST(SingletonTableTest, SaturatesAndKeepsTheUnclampedArgmin)
+{
+    const SaturatingModel model;
+    GridMrf mrf(saturatingConfig(), model);
+    const auto table = mrf.buildSingletonTable(8, {});
+
+    int saturated_sites = 0;
+    int nonzero_argmins = 0;
+    for (int y = 0; y < mrf.height(); ++y) {
+        for (int x = 0; x < mrf.width(); ++x) {
+            const int site = mrf.index(x, y);
+            int best = 0;
+            int best_e = 0;
+            bool all_over = true;
+            for (int i = 0; i < mrf.numLabels(); ++i) {
+                const int e = mrf.energyUnit().singleton(
+                    model.data1(x, y),
+                    model.data2(x, y, mrf.codeOf(i)));
+                ASSERT_EQ(table.at(site, i),
+                          std::min(e, rsu::core::kEnergyMax))
+                    << "site " << site << " candidate " << i;
+                if (i == 0 || e < best_e) {
+                    best = i;
+                    best_e = e;
+                }
+                all_over = all_over && e > rsu::core::kEnergyMax;
+            }
+            for (int i = mrf.numLabels(); i < 8; ++i)
+                ASSERT_EQ(table.at(site, i), rsu::core::kEnergyMax);
+            ASSERT_EQ(table.argminRow(site), best) << "site " << site;
+            ASSERT_EQ(all_over, SaturatingModel::allOver(x, y));
+            saturated_sites += all_over;
+            nonzero_argmins += all_over && best != 0;
+        }
+    }
+    // The clamped rows of these sites are all kEnergyMax, so only a
+    // recorded argmin can find their ML label.
+    EXPECT_GT(saturated_sites, 100);
+    EXPECT_GT(nonzero_argmins, 50);
+
+    GridMrf ml(saturatingConfig(), model);
+    ml.initializeMaximumLikelihood(table);
+    for (int site = 0; site < ml.size(); ++site)
+        ASSERT_EQ(ml.labels()[site], ml.codeOf(table.argminRow(site)));
+}
+
+TEST(FastSweepTest, BitExactWithSaturatedSingletons)
+{
+    const SaturatingModel model;
+    const MrfConfig config = saturatingConfig();
+
+    // Table == Reference, sequential.
+    {
+        GridMrf ref_mrf(config, model);
+        ref_mrf.initializeMaximumLikelihood();
+        GibbsSampler reference(ref_mrf, 13);
+        GridMrf fast_mrf(config, model);
+        fast_mrf.initializeMaximumLikelihood();
+        GibbsSampler fast(fast_mrf, 13, Schedule::Checkerboard,
+                          SweepPath::Table);
+        for (int sweep = 0; sweep < 4; ++sweep) {
+            reference.sweep();
+            fast.sweep();
+            ASSERT_EQ(ref_mrf.labels(), fast_mrf.labels())
+                << "sweep " << sweep;
+        }
+    }
+
+    // Table == Reference, chromatic at S = 4.
+    const auto chromatic = [&](SweepPath path, SimdIsa isa) {
+        GridMrf mrf(config, model);
+        mrf.initializeMaximumLikelihood();
+        ThreadPool pool(4);
+        ParallelSweepExecutor executor(pool, 4);
+        ChromaticGibbsSampler sampler(mrf, executor, 31,
+                                      SamplerKind::SoftwareGibbs, {},
+                                      path);
+        sampler.setSimdIsa(isa);
+        sampler.run(4);
+        return mrf.labels();
+    };
+    const SimdIsa widest = rsu::core::activeSimdIsa();
+    EXPECT_EQ(chromatic(SweepPath::Reference, widest),
+              chromatic(SweepPath::Table, widest));
+
+    // Scalar == the widest Simd kernel, sequential and at S = 4.
+    const auto sequential_simd = [&](SimdIsa isa) {
+        GridMrf mrf(config, model);
+        mrf.initializeMaximumLikelihood();
+        GibbsSampler sampler(mrf, 13, Schedule::Checkerboard,
+                             SweepPath::Simd);
+        sampler.setSimdIsa(isa);
+        sampler.run(4);
+        return mrf.labels();
+    };
+    EXPECT_EQ(sequential_simd(SimdIsa::Scalar), sequential_simd(widest));
+    EXPECT_EQ(chromatic(SweepPath::Simd, SimdIsa::Scalar),
+              chromatic(SweepPath::Simd, widest));
+}
+
+TEST(GridMrfTest, RowParallelTotalEnergyMatchesSequential)
+{
+    ThreadPool pool(4);
+    const auto rows = rsu::runtime::parallelRowRunner(pool);
+    for (const int height : {1, 3, 1024}) {
+        Problem p(7, height, 5, 11 + height);
+        GridMrf mrf(p.config, p.model);
+        rsu::rng::Xoshiro256 rng(height);
+        mrf.randomizeLabels(rng);
+        EXPECT_EQ(mrf.totalEnergy(rows), mrf.totalEnergy())
+            << "height " << height;
+    }
+}
+
+TEST(FastSweepTest, AnnealingWithRowRunnerIsIdentical)
+{
+    Problem p(31, 24, 5, 9);
+    rsu::mrf::AnnealingSchedule schedule;
+    schedule.start_temperature = 12.0;
+    schedule.stop_temperature = 2.0;
+    schedule.cooling_factor = 0.6;
+    schedule.sweeps_per_stage = 2;
+
+    ThreadPool pool(4);
+    const auto run = [&](const rsu::core::RowParallelFor &rows) {
+        GridMrf mrf(p.config, p.model);
+        mrf.initializeMaximumLikelihood();
+        GibbsSampler sampler(mrf, 23, Schedule::Checkerboard,
+                             SweepPath::Table);
+        const int64_t best = rsu::mrf::anneal(
+            mrf, schedule,
+            [&](double t) { sampler.setTemperature(t); },
+            [&] { sampler.sweep(); }, rows);
+        return std::make_pair(best, mrf.labels());
+    };
+    EXPECT_EQ(run({}), run(rsu::runtime::parallelRowRunner(pool)));
 }
 
 } // namespace

@@ -148,6 +148,44 @@ TEST(ThreadPoolTest, RunRethrowsOnlyAfterEveryTaskFinished)
         EXPECT_EQ(filled[i], i + 1);
 }
 
+TEST(ThreadPoolTest, IndexZeroRunsOnTheCaller)
+{
+    ThreadPool pool(3);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int n : {1, 2, 7}) {
+        std::vector<std::thread::id> ran_on(n);
+        pool.run(n, [&](int i) {
+            ran_on[i] = std::this_thread::get_id();
+        });
+        EXPECT_EQ(ran_on[0], caller) << "n " << n;
+        for (int i = 1; i < n; ++i)
+            EXPECT_NE(ran_on[i], caller) << "n " << n << " i " << i;
+    }
+
+    int calls = 0;
+    pool.run(0, [&](int) { ++calls; });
+    EXPECT_EQ(calls, 0);
+}
+
+TEST(ThreadPoolTest, CallerThrowWaitsForTheWorkers)
+{
+    // Index 0 throws at once on the caller; the rethrow must still
+    // wait for the slow worker indices that reference this frame.
+    ThreadPool pool(4);
+    std::vector<std::atomic<bool>> finished(4);
+    EXPECT_THROW(pool.run(4,
+                          [&](int i) {
+                              if (i == 0)
+                                  throw std::runtime_error("index 0");
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(30));
+                              finished[i].store(true);
+                          }),
+                 std::runtime_error);
+    for (int i = 1; i < 4; ++i)
+        EXPECT_TRUE(finished[i].load()) << "index " << i;
+}
+
 TEST(Schedule, ForEachSiteInRowsMatchesWholeLatticeSweep)
 {
     const int w = 9, h = 7;

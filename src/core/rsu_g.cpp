@@ -90,7 +90,7 @@ RsuG::setLabelCodes(const std::vector<Label> &codes)
     codes_ = codes;
 }
 
-std::vector<Energy>
+RsuG::Energies
 RsuG::referencedEnergies(const EnergyInputs &in,
                          const uint8_t *data2_per_label) const
 {
@@ -102,7 +102,7 @@ RsuG::referencedEnergies(const EnergyInputs &in,
     if (config_.two_pass_offset)
         local.energy_offset = 0;
 
-    std::vector<Energy> energies(m);
+    Energies energies{};
     for (int i = 0; i < m; ++i) {
         const uint8_t data2 =
             data2_per_label ? data2_per_label[i] : in.data2;
@@ -110,17 +110,16 @@ RsuG::referencedEnergies(const EnergyInputs &in,
     }
     if (config_.two_pass_offset) {
         Energy lo = energies[0];
-        for (const Energy e : energies)
-            lo = std::min(lo, e);
-        for (Energy &e : energies)
-            e = static_cast<Energy>(e - lo);
+        for (int i = 1; i < m; ++i)
+            lo = std::min(lo, energies[i]);
+        for (int i = 0; i < m; ++i)
+            energies[i] = static_cast<Energy>(energies[i] - lo);
     }
     return energies;
 }
 
 void
-RsuG::raceOnce(SelectionUnit &selection,
-               const std::vector<Energy> &energies)
+RsuG::raceOnce(SelectionUnit &selection, const Energies &energies)
 {
     const int m = num_labels_;
     const int k = config_.width;
@@ -181,8 +180,7 @@ RsuG::sample(const EnergyInputs &in, const uint8_t *data2_per_label)
     const int m = num_labels_;
     const int k = config_.width;
 
-    const std::vector<Energy> energies =
-        referencedEnergies(in, data2_per_label);
+    const Energies energies = referencedEnergies(in, data2_per_label);
     if (config_.two_pass_offset) {
         // The min-reference pass occupies the energy stage for an
         // extra ceil(M/K) cycles before firing can start.
@@ -271,8 +269,7 @@ RsuG::raceDistribution(const EnergyInputs &in,
     constexpr int kSat = rsu::ret::kTtfSaturated;
 
     // Rates in *evaluation order* (down counter: index M-1 first).
-    const std::vector<Energy> energies =
-        referencedEnergies(in, data2_per_label);
+    const Energies energies = referencedEnergies(in, data2_per_label);
     std::vector<double> rates(m);
     for (int pos = 0; pos < m; ++pos) {
         const int cand_index = m - 1 - pos;

@@ -26,6 +26,7 @@
 #ifndef RSU_CORE_RSU_G_H
 #define RSU_CORE_RSU_G_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -233,18 +234,23 @@ class RsuG
     rsu::ret::RetCircuit &circuit(int lane, int replica);
 
   private:
+    /** Per-candidate energies, on the stack: sample() runs once per
+     * site on every shard's thread, and a heap buffer per call
+     * would interleave the threads' malloc chunks with the units'
+     * per-site state. */
+    using Energies = std::array<Energy, kMaxLabels>;
+
     /**
-     * Candidate energies in candidate-index order, after the
-     * caller's offset and (in two-pass mode) min re-referencing.
+     * Candidate energies in candidate-index order (the first
+     * numLabels() entries), after the caller's offset and (in
+     * two-pass mode) min re-referencing.
      */
-    std::vector<Energy>
-    referencedEnergies(const EnergyInputs &in,
-                       const uint8_t *data2_per_label) const;
+    Energies referencedEnergies(const EnergyInputs &in,
+                                const uint8_t *data2_per_label) const;
 
     /** One full down-counter race over @p energies into
      * @p selection (the pipeline loop of sample()). */
-    void raceOnce(SelectionUnit &selection,
-                  const std::vector<Energy> &energies);
+    void raceOnce(SelectionUnit &selection, const Energies &energies);
 
     RsuGConfig config_;
     rsu::rng::Xoshiro256 rng_;

@@ -5,7 +5,7 @@
  * Measures site updates per second of the three software
  * realizations of the Gibbs inner loop — GibbsSampler's reference
  * path (virtual data2 + EnergyUnit + std::exp per candidate), the
- * SweepTables Table path (precomputed singleton/doubleton/exp
+ * Table path (precomputed singleton/doubleton/exp
  * lookups with the interior/border split, bit-identical to the
  * reference), and the Simd path (runtime-dispatched vector kernels
  * over Q32 fixed-point weights; identical across ISAs, not
@@ -344,7 +344,7 @@ main(int argc, char **argv)
                 const auto build_start =
                     std::chrono::steady_clock::now();
                 {
-                    mrf::SweepTables tables(build_mrf);
+                    mrf::SweepTableSet tables(build_mrf);
                 }
                 const double build_seconds = seconds(build_start);
 
@@ -460,14 +460,12 @@ main(int argc, char **argv)
         return 1;
     }
     std::fprintf(json, "{\n  \"benchmark\": \"fast_sweep\",\n");
-    std::string extra = "\"simd_isa\": \"";
-    extra += isa_name;
-    extra += '"';
-    if (bench::hardwareConcurrency() == 1)
-        extra += ",\n    \"parallel_caveat\": \"single hardware "
-                 "thread; shard rows measure determinism overhead, "
-                 "not scaling\"";
-    bench::writeMetaJson(json, extra.c_str());
+    bench::writeMetaJson(
+        json, bench::hardwareConcurrency() == 1
+                  ? "\"parallel_caveat\": \"single hardware thread; "
+                    "shard rows measure determinism overhead, not "
+                    "scaling\""
+                  : nullptr);
     std::fprintf(json, "  \"results\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];

@@ -77,7 +77,7 @@ warnIfNotRelease()
  * comma) into an in-progress JSON document, indented two spaces.
  * @p extra_fields optionally appends bench-specific fields: raw
  * JSON `"key": value` pairs (comma-separated, no surrounding
- * braces), e.g. `"\"simd_isa\": \"avx2\""`.
+ * braces), e.g. `"\"parallel_caveat\": \"...\""`.
  */
 inline void
 writeMetaJson(FILE *json, const char *extra_fields = nullptr)

@@ -39,15 +39,16 @@ DoubletonTable::DoubletonTable(const EnergyUnit &unit,
       padded_candidates_(padded_candidates == 0
                              ? num_candidates_
                              : padded_candidates),
-      rows_(static_cast<size_t>(kMaxLabels) * padded_candidates_)
+      rows_(static_cast<size_t>(kMaxLabels + 1) * padded_candidates_)
 {
     if (codes.empty())
         throw std::invalid_argument("DoubletonTable: no candidates");
     if (padded_candidates_ < num_candidates_)
         throw std::invalid_argument(
             "DoubletonTable: padding below candidate count");
-    // rows_ value-initializes, so pad lanes are already 0: the
-    // padded singleton's kEnergyMax stays the row sum.
+    // rows_ value-initializes, so pad lanes and the zero row are
+    // already 0: the padded singleton's kEnergyMax stays the row
+    // sum.
     for (int c = 0; c < kMaxLabels; ++c) {
         int32_t *r = rows_.data() +
                      static_cast<size_t>(c) * padded_candidates_;

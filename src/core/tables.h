@@ -16,7 +16,8 @@
  *
  * These classes are model-agnostic: they depend only on the energy
  * datapath and plain fill callables, so the core layer stays free of
- * MRF types. mrf::SweepTables bundles them for a GridMrf.
+ * MRF types. mrf::SweepTableSet and mrf::SweepCore bundle them for
+ * a GridMrf.
  */
 
 #ifndef RSU_CORE_TABLES_H
@@ -216,8 +217,10 @@ class SingletonTable
  * dimension for both the scalar loops and the vector kernels. Rows
  * are padded with zeros to a SIMD lane multiple (a zero pad keeps
  * the padded singleton entry at kEnergyMax, so the shared clamp
- * still saturates the lane). At most 64 x 64 ints (16 KiB), so the
- * whole table lives in L1.
+ * still saturates the lane). One extra all-zero row stands in for a
+ * missing neighbour, whose doubleton term is zero (a cleared
+ * neighbor_valid bit in EnergyUnit::evaluate). At most 65 x 64 ints
+ * (16.25 KiB), so the whole table lives in L1.
  */
 class DoubletonTable
 {
@@ -251,10 +254,19 @@ class DoubletonTable
         return row(neighbor_code)[candidate];
     }
 
+    /** paddedCandidates() zeros: the row of a missing neighbour.
+     * row() masks codes to 6 bits, so no code reaches it. */
+    const int32_t *
+    zeroRow() const
+    {
+        return rows_.data() +
+               static_cast<size_t>(kMaxLabels) * padded_candidates_;
+    }
+
   private:
     int num_candidates_;
     int padded_candidates_;
-    std::vector<int32_t> rows_; // kMaxLabels x paddedCandidates
+    std::vector<int32_t> rows_; // (kMaxLabels + 1) x paddedCandidates
 };
 
 /**
@@ -264,7 +276,7 @@ class DoubletonTable
  * sampler uses — std::exp(-double(e) / T) — so a lookup returns a
  * bit-identical double. rebuild() is cheap (256 exp calls) and
  * must be called from a single thread between sweeps;
- * mrf::SweepTables::sync() calls it when the model's temperature
+ * mrf::SweepCore::sweep() calls it when the model's temperature
  * moves (annealing).
  */
 class ExpTable

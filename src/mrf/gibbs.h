@@ -37,7 +37,7 @@ class GibbsSampler
      * @param seed entropy seed
      * @param schedule site visit order
      * @param path Reference recomputes every conditional from the
-     *        model; Table precomputes SweepTables once and sweeps
+     *        model; Table precomputes the tables once and sweeps
      *        through lookups — bit-identical results, several times
      *        faster; Simd additionally vectorizes the candidate
      *        dimension over Q32 fixed-point weights — fastest,
@@ -71,15 +71,15 @@ class GibbsSampler
     SweepPath path() const { return path_; }
 
     /**
-     * Select the Simd path's kernel ISA (see
-     * SweepTables::setSimdIsa; no-op on the other paths). Any
-     * choice yields identical labels — the lane-equivalence tests
-     * force Scalar here against core::activeSimdIsa().
+     * Select the Simd path's kernel ISA (no effect on the other
+     * paths). Any choice yields identical labels — the
+     * lane-equivalence tests force Scalar here against
+     * core::activeSimdIsa().
      */
     void setSimdIsa(rsu::core::SimdIsa isa) { core_.setSimdIsa(isa); }
 
-    /** The fast paths' tables (nullptr on the Reference path). */
-    const SweepTables *tables() const { return core_.tables(); }
+    /** The sweep core: its tables, exp tables and chain. */
+    const SweepCore &core() const { return core_; }
 
     const SamplerWork &work() const { return core_.chain(0).work; }
     rsu::rng::Xoshiro256 &rng() { return core_.chain(0).rng; }

@@ -118,8 +118,8 @@ class GridMrf
     /** Change the Gibbs temperature (simulated annealing). RSU
      * samplers must rebuild their intensity map afterwards; use
      * RsuGibbsSampler::setTemperature, which does both. Bumps
-     * temperatureVersion() so table-driven caches (SweepTables'
-     * ExpTable) invalidate automatically. */
+     * temperatureVersion() so table-driven caches (SweepCore's
+     * exp tables) invalidate automatically. */
     void setTemperature(double t);
 
     /**

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "rng/discrete.h"
-
 namespace rsu::mrf {
 
 SweepCore::SweepCore(GridMrf &mrf,
@@ -14,10 +12,17 @@ SweepCore::SweepCore(GridMrf &mrf,
                      std::shared_ptr<const SweepTableSet> table_set)
     : mrf_(mrf), path_(path), chains_(streams.size())
 {
-    if (path_ != SweepPath::Reference)
-        tables_ = table_set ? std::make_unique<SweepTables>(
-                                  mrf, std::move(table_set))
-                            : std::make_unique<SweepTables>(mrf);
+    if (path_ != SweepPath::Reference) {
+        table_set_ = table_set ? std::move(table_set)
+                               : std::make_shared<SweepTableSet>(mrf);
+        if (table_set_->width() != mrf.width() ||
+            table_set_->height() != mrf.height() ||
+            table_set_->numLabels() != mrf.numLabels() ||
+            table_set_->codes() != mrf.labelCodes())
+            throw std::invalid_argument(
+                "SweepCore: table set does not match the model");
+        rebuildExpTables();
+    }
     for (std::size_t c = 0; c < chains_.size(); ++c)
         chains_[c].rng = streams[c];
 }
@@ -43,6 +48,14 @@ SweepCore::SweepCore(GridMrf &mrf, rsu::core::RsuG &unit)
 {
     chains_[0].unit = &unit;
     setUpUnits();
+}
+
+void
+SweepCore::rebuildExpTables()
+{
+    exp_.rebuild(mrf_.temperature());
+    fixed_exp_.rebuild(mrf_.temperature());
+    temperature_version_ = mrf_.temperatureVersion();
 }
 
 void
@@ -74,13 +87,9 @@ SweepCore::referenceUpdate(SweepChain &chain, int x, int y)
         const Energy e = mrf_.energyUnit().evaluate(code, in);
         weights[i] = std::exp(-static_cast<double>(e) / t);
     }
-    chain.work.energy_evals += m;
-    chain.work.exp_calls += m;
-
     const int choice =
         rsu::rng::sampleDiscreteLinear(chain.rng, weights, m);
-    ++chain.work.random_draws;
-    ++chain.work.site_updates;
+    countSoftwareUpdate(chain.work, m);
     mrf_.setLabel(x, y, mrf_.codeOf(choice));
 }
 
@@ -125,13 +134,6 @@ SweepCore::setTemperature(double t)
 {
     mrf_.setTemperature(t);
     setUpUnits();
-}
-
-void
-SweepCore::setSimdIsa(rsu::core::SimdIsa isa)
-{
-    if (tables_)
-        tables_->setSimdIsa(isa);
 }
 
 void

@@ -11,8 +11,9 @@
  *
  *  - one SweepChain per chain — its RNG stream or emulated RSU-G,
  *    candidate-weight scratch, SIMD draw buffer and work counters;
- *  - the model's precomputed state — SweepTables on the Table and
- *    Simd paths, the staged Data2Table on the device path;
+ *  - the model's precomputed state — on the Table and Simd paths the
+ *    bound SweepTableSet, the exp tables for the current temperature
+ *    and the Simd kernel; on the device path the staged Data2Table;
  *  - the single point that picks the site kernel (Reference, Table,
  *    Simd or RsuGibbs), once per sweep: device chains run RsuGibbs,
  *    software chains run their SweepPath;
@@ -22,9 +23,12 @@
  * A sweep is driven by a caller-supplied driver. sweep() hands it two
  * kernels, interior(chain, x, y) and border(chain, x, y) — the first
  * valid only where all four neighbours exist — and the driver visits
- * sites. Drivers and kernels are template callables, so every
- * per-site call inlines (the Simd interior kernel in particular loses
- * ~3x when its table loads cannot be hoisted; see fast_sweep.h).
+ * sites. On the Table and Simd paths both kernels run one site-update
+ * body over the site's four neighbour doubleton rows: interior loads
+ * them directly, border substitutes DoubletonTable's zero row for a
+ * missing neighbour. Drivers and kernels are template callables, so
+ * every per-site call inlines (the Simd body in particular loses ~3x
+ * when its table loads cannot be hoisted out of the row loop).
  */
 
 #ifndef RSU_MRF_SWEEP_CORE_H
@@ -41,8 +45,10 @@
 #include "mrf/fast_sweep.h"
 #include "mrf/grid_mrf.h"
 #include "mrf/schedule.h"
+#include "mrf/simd_kernels.h"
 #include "ret/fault_injection.h"
 #include "rng/block.h"
+#include "rng/discrete.h"
 #include "rng/xoshiro256.h"
 
 namespace rsu::mrf {
@@ -76,6 +82,9 @@ class SweepCore
      * Table and Simd bind @p table_set when given (a cached set
      * built for an identical model) and build a private one
      * otherwise.
+     *
+     * @throws std::invalid_argument if @p table_set's width, height,
+     *         label count or label codes differ from @p mrf's
      */
     SweepCore(GridMrf &mrf, std::vector<rsu::rng::Xoshiro256> streams,
               SweepPath path,
@@ -109,7 +118,7 @@ class SweepCore
             };
             return drive(device, device);
         }
-        if (!tables_) {
+        if (!table_set_) {
             const auto reference = [this](int c, int x, int y) {
                 referenceUpdate(chains_[c], x, y);
             };
@@ -117,34 +126,11 @@ class SweepCore
         }
         // Single-threaded before any chain runs: rebuild the exp
         // tables if annealing moved the temperature.
-        tables_->sync();
-        const SweepTables &tables = *tables_;
-        if (path_ == SweepPath::Simd) {
-            return drive(
-                [this, &tables](int c, int x, int y) {
-                    auto &ch = chains_[c];
-                    tables.updateInteriorSimd(mrf_, ch.rng, ch.block,
-                                              ch.fixed_weights.data(),
-                                              ch.work, x, y);
-                },
-                [this, &tables](int c, int x, int y) {
-                    auto &ch = chains_[c];
-                    tables.updateBorderSimd(mrf_, ch.rng, ch.block,
-                                            ch.fixed_weights.data(),
-                                            ch.work, x, y);
-                });
-        }
-        return drive(
-            [this, &tables](int c, int x, int y) {
-                auto &ch = chains_[c];
-                tables.updateInterior(mrf_, ch.rng, ch.weights.data(),
-                                      ch.work, x, y);
-            },
-            [this, &tables](int c, int x, int y) {
-                auto &ch = chains_[c];
-                tables.updateBorder(mrf_, ch.rng, ch.weights.data(),
-                                    ch.work, x, y);
-            });
+        if (temperature_version_ != mrf_.temperatureVersion())
+            rebuildExpTables();
+        if (path_ == SweepPath::Simd)
+            return driveRows<&SweepCore::simdUpdate>(drive);
+        return driveRows<&SweepCore::tableUpdate>(drive);
     }
 
     /** One sweep of chain 0 over every site in @p schedule order. */
@@ -157,8 +143,13 @@ class SweepCore
      * every unit's intensity map for it (section 6.1). */
     void setTemperature(double t);
 
-    /** Select the Simd kernels' ISA (no-op without tables). */
-    void setSimdIsa(rsu::core::SimdIsa isa);
+    /** Select the Simd kernel's ISA. Either choice produces
+     * identical labels; call between sweeps. */
+    void
+    setSimdIsa(rsu::core::SimdIsa isa)
+    {
+        simd_fn_ = detail::interiorSampleFor(isa);
+    }
 
     /** Inject plan.faultsFor(c, width) into chain c's unit (no-op on
      * software chains): afflicted lanes depend only on (plan.seed,
@@ -182,13 +173,144 @@ class SweepCore
      * and std::logic_error on a software chain. */
     rsu::core::RsuG &unit(int c);
 
-    /** The Table/Simd tables (nullptr on other kernels). */
-    const SweepTables *tables() const { return tables_.get(); }
+    /** The bound static tables (nullptr off the Table/Simd paths). */
+    const SweepTableSet *tableSet() const { return table_set_.get(); }
+
+    /** The Table path's weights at the current temperature. */
+    const rsu::core::ExpTable &expTable() const { return exp_; }
+
+    /** The Simd path's Q32 weights at the current temperature. */
+    const rsu::core::FixedExpTable &
+    fixedExpTable() const
+    {
+        return fixed_exp_;
+    }
 
     /** Staged per-site data2 operands (device chains only). */
     const rsu::core::Data2Table &data2() const { return *data2_; }
 
   private:
+    /**
+     * Hand @p drive the Table/Simd kernel pair around
+     * @p Update(chain, x, y, d0, d1, d2, d3), the one site-update
+     * body of the path, where d0..d3 are the doubleton rows of the
+     * N, S, W and E neighbours. The interior kernel loads the four
+     * rows directly; the border kernel reads the zero row for each
+     * missing neighbour.
+     */
+    template <auto Update, typename Driver>
+    auto
+    driveRows(Driver &drive)
+    {
+        const rsu::core::DoubletonTable &dt = table_set_->doubleton();
+        const Label *labels = mrf_.labels().data();
+        const int w = mrf_.width();
+        const int h = mrf_.height();
+        return drive(
+            [&](int c, int x, int y) {
+                const int site = y * w + x;
+                (this->*Update)(chains_[c], x, y,
+                                dt.row(labels[site - w]),
+                                dt.row(labels[site + w]),
+                                dt.row(labels[site - 1]),
+                                dt.row(labels[site + 1]));
+            },
+            [&](int c, int x, int y) {
+                const int site = y * w + x;
+                const int32_t *zero = dt.zeroRow();
+                (this->*Update)(
+                    chains_[c], x, y,
+                    y > 0 ? dt.row(labels[site - w]) : zero,
+                    y + 1 < h ? dt.row(labels[site + w]) : zero,
+                    x > 0 ? dt.row(labels[site - 1]) : zero,
+                    x + 1 < w ? dt.row(labels[site + 1]) : zero);
+            });
+    }
+
+    /**
+     * Table-path site update: the clamped sums of the singleton row
+     * and the four doubleton rows index the exact exp table, and the
+     * draw is the Reference kernel's linear scan, so the result is
+     * bit-identical to it.
+     */
+    void
+    tableUpdate(SweepChain &ch, int x, int y, const int32_t *d0,
+                const int32_t *d1, const int32_t *d2,
+                const int32_t *d3)
+    {
+        const SweepTableSet &set = *table_set_;
+        const uint8_t *s = set.singleton().row(y * set.width() + x);
+        const double *et = exp_.data();
+        double *weights = ch.weights.data();
+        const int m = set.numLabels();
+        for (int i = 0; i < m; ++i) {
+            int e = s[i] + d0[i] + d1[i] + d2[i] + d3[i];
+            e = e < rsu::core::kEnergyMax ? e : rsu::core::kEnergyMax;
+            weights[i] = et[e];
+        }
+        const int choice =
+            rsu::rng::sampleDiscreteLinear(ch.rng, weights, m);
+        countSoftwareUpdate(ch.work, m);
+        mrf_.setLabel(x, y, set.codes()[choice]);
+    }
+
+    /**
+     * Simd-path site update: the dispatched kernel computes
+     * paddedLabels() fixed-point weights 8 candidates at a time and
+     * draws the label from one buffered 64-bit variate via integer
+     * prefix sums, in one fused call (AVX2 keeps the whole update in
+     * registers for M <= 16). Identical results on either kernel.
+     *
+     * Header-inline: the per-site cost of this path is a handful of
+     * table loads around one kernel call, so the sweep loops must be
+     * able to hoist the table pointers out of their per-row
+     * iteration — through an out-of-line call the loads re-execute
+     * every site and dominate the profile (~3x on the benchmark
+     * lattices).
+     */
+    void
+    simdUpdate(SweepChain &ch, int x, int y, const int32_t *d0,
+               const int32_t *d1, const int32_t *d2, const int32_t *d3)
+    {
+        const SweepTableSet &set = *table_set_;
+        const int site = y * set.width() + x;
+        const int padded = set.paddedLabels();
+        // The singleton rows are the one stream large lattices pull
+        // from memory (the doubleton rows and exp table stay
+        // cached). For wide candidate rows — the generic kernel,
+        // where a row can straddle two cache lines — fetch 8
+        // checkerboard iterations ahead to keep the row loads off
+        // the kernel's critical path; the register-resident M <= 16
+        // kernels pack several sites per line and the extra
+        // prefetch traffic only costs them.
+        if (padded > 16 && site + 16 < set.width() * set.height()) {
+            const uint8_t *ahead = set.singleton().row(site + 16);
+            __builtin_prefetch(ahead);
+            __builtin_prefetch(ahead + padded - 1);
+        }
+        const int m = set.numLabels();
+        const int choice = simd_fn_(
+            set.singleton().row(site), d0, d1, d2, d3,
+            fixed_exp_.data(), ch.fixed_weights.data(), padded, m,
+            ch.block.next(ch.rng));
+        countSoftwareUpdate(ch.work, m);
+        mrf_.setLabel(x, y, set.codes()[choice]);
+    }
+
+    /** Logical baseline costs of one software site update: the
+     * timing models charge the m conditional-energy computations and
+     * m transcendentals the site *represents*, not the loads that
+     * realized them. */
+    static void
+    countSoftwareUpdate(SamplerWork &work, int m)
+    {
+        work.energy_evals += m;
+        work.exp_calls += m;
+        ++work.random_draws;
+        ++work.site_updates;
+    }
+
+    void rebuildExpTables();
     void setUpUnits();
     void referenceUpdate(SweepChain &chain, int x, int y);
     void deviceUpdate(SweepChain &chain, int x, int y);
@@ -197,9 +319,15 @@ class SweepCore
     SweepPath path_;
     std::vector<SweepChain> chains_;
     std::vector<std::unique_ptr<rsu::core::RsuG>> owned_units_;
-    // Shared read-only by every chain during a sweep.
-    std::unique_ptr<SweepTables> tables_;         // Table/Simd
-    std::unique_ptr<rsu::core::Data2Table> data2_; // device chains
+    // Shared read-only by every chain during a sweep. Table/Simd:
+    std::shared_ptr<const SweepTableSet> table_set_;
+    uint64_t temperature_version_ = 0; // model's at last rebuild
+    rsu::core::ExpTable exp_;            // Table weights
+    rsu::core::FixedExpTable fixed_exp_; // Simd weights
+    detail::InteriorSampleFn simd_fn_ =
+        detail::interiorSampleFor(rsu::core::activeSimdIsa());
+    // Device chains:
+    std::unique_ptr<rsu::core::Data2Table> data2_;
 };
 
 } // namespace rsu::mrf

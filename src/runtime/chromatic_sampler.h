@@ -57,10 +57,12 @@ class ChromaticGibbsSampler
      *        to match the model's, as RsuGibbsSampler requires
      * @param path SoftwareGibbs realization: Reference recomputes
      *        conditionals from the model; Table precomputes one
-     *        SweepTables shared read-only by every shard and sweeps
-     *        through lookups — bit-identical results (see
-     *        mrf/fast_sweep.h), several times faster; Simd
-     *        vectorizes the candidate dimension over Q32
+     *        SweepTableSet and one exp table, shared read-only by
+     *        every shard, and sweeps through lookups (border sites
+     *        read a zero doubleton row per missing neighbour, so
+     *        every site runs the same update) — bit-identical
+     *        results (see mrf/fast_sweep.h), several times faster;
+     *        Simd vectorizes the candidate dimension over Q32
      *        fixed-point weights — fastest, identical across
      *        ISAs/runs/shard counts but not bit-identical to the
      *        other two. Ignored by RsuGibbs, whose device path is

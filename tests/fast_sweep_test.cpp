@@ -52,7 +52,6 @@ using rsu::mrf::GridMrf;
 using rsu::mrf::MrfConfig;
 using rsu::mrf::Schedule;
 using rsu::mrf::SweepPath;
-using rsu::mrf::SweepTables;
 using rsu::runtime::ChromaticGibbsSampler;
 using rsu::runtime::ParallelSweepExecutor;
 using rsu::runtime::SamplerKind;
@@ -401,7 +400,7 @@ TEST(FastSweepTest, AnnealingRampInvalidatesExpTable)
     fast_mrf.initializeMaximumLikelihood();
     GibbsSampler fast(fast_mrf, 31, Schedule::Checkerboard,
                       SweepPath::Table);
-    ASSERT_NE(fast.tables(), nullptr);
+    ASSERT_NE(fast.core().tableSet(), nullptr);
 
     double t = p.config.temperature;
     for (int stage = 0; stage < 5; ++stage) {
@@ -413,7 +412,7 @@ TEST(FastSweepTest, AnnealingRampInvalidatesExpTable)
             << "stage=" << stage << " t=" << t;
         // The fast path's exp table must have followed the ramp.
         for (int e = 0; e <= rsu::core::kEnergyMax; ++e)
-            ASSERT_EQ(fast.tables()->expTable().at(e),
+            ASSERT_EQ(fast.core().expTable().at(e),
                       std::exp(-static_cast<double>(e) / t))
                 << "stage=" << stage << " e=" << e;
         t *= 0.6;

@@ -7,13 +7,16 @@
  * but it IS self-deterministic — the AVX2 and scalar kernels must
  * produce *identical* label fields for the same (seed,
  * schedule, shard count). These tests enforce that lane-equivalence
- * contract across the sequential and chromatic drivers, check each
- * new table/kernel building block against its definition, establish
+ * contract across the sequential and chromatic drivers, pin the
+ * draw itself against an independent replay of one sweep, check
+ * each new table/kernel building block against its definition,
+ * establish
  * statistical correctness of the fixed-point draw with chi-square
  * tests against the exact conditional distribution, and cover the
  * engine's cross-job SweepTableSet cache.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -28,7 +31,9 @@
 #include "mrf/gibbs.h"
 #include "mrf/grid_mrf.h"
 #include "mrf/schedule.h"
+#include "mrf/simd_kernels.h"
 #include "rng/block.h"
+#include "rng/streams.h"
 #include "rng/xoshiro256.h"
 #include "runtime/chromatic_sampler.h"
 #include "runtime/inference_engine.h"
@@ -48,7 +53,7 @@ using rsu::mrf::GridMrf;
 using rsu::mrf::MrfConfig;
 using rsu::mrf::Schedule;
 using rsu::mrf::SweepPath;
-using rsu::mrf::SweepTables;
+using rsu::mrf::SweepTableSet;
 using rsu::runtime::ChromaticGibbsSampler;
 using rsu::runtime::InferenceEngine;
 using rsu::runtime::InferenceJob;
@@ -115,6 +120,59 @@ runSimdChromatic(const Problem &p, uint64_t seed, int shards,
     sampler.setSimdIsa(isa);
     sampler.run(sweeps);
     return mrf.labels();
+}
+
+/**
+ * One sequential checkerboard Simd sweep of @p start, written out
+ * from the path's definition rather than through the sweep core: per
+ * site, the clamped sum of the singleton row and the in-lattice
+ * neighbours' doubleton rows, renormalized by the site minimum,
+ * looked up in the Q32 table and drawn with selectCandidateFixed
+ * from GibbsSampler's one stream for @p seed, buffered.
+ */
+std::vector<Label>
+replaySimdCheckerboardSweep(const GridMrf &start, uint64_t seed)
+{
+    const SweepTableSet set(start);
+    FixedExpTable fixed;
+    fixed.rebuild(start.temperature());
+    rsu::rng::Xoshiro256 rng = rsu::rng::splitStreams(seed, 1)[0];
+    rsu::rng::BlockRng block;
+    std::vector<Label> labels = start.labels();
+    const int w = set.width();
+    const int h = set.height();
+    const int m = set.numLabels();
+    std::vector<int> energies(m);
+    std::vector<uint32_t> weights(m);
+    for (int parity = 0; parity < 2; ++parity)
+        for (int y = 0; y < h; ++y)
+            for (int x = (parity ^ y) & 1; x < w; x += 2) {
+                const int site = y * w + x;
+                std::vector<int> neighbours;
+                if (y > 0)
+                    neighbours.push_back(site - w);
+                if (y + 1 < h)
+                    neighbours.push_back(site + w);
+                if (x > 0)
+                    neighbours.push_back(site - 1);
+                if (x + 1 < w)
+                    neighbours.push_back(site + 1);
+                const uint8_t *s = set.singleton().row(site);
+                int emin = rsu::core::kEnergyMax;
+                for (int i = 0; i < m; ++i) {
+                    int e = s[i];
+                    for (const int n : neighbours)
+                        e += set.doubleton().row(labels[n])[i];
+                    energies[i] = std::min(e, rsu::core::kEnergyMax);
+                    emin = std::min(emin, energies[i]);
+                }
+                for (int i = 0; i < m; ++i)
+                    weights[i] = fixed.at(energies[i] - emin);
+                const int choice = rsu::mrf::detail::selectCandidateFixed(
+                    block.next(rng), weights.data(), m);
+                labels[site] = set.codes()[choice];
+            }
+    return labels;
 }
 
 /** Pearson statistic of @p counts against @p probs * @p n. */
@@ -297,7 +355,7 @@ TEST(SimdLaneEquivalence, UnderAnnealingRamp)
         FixedExpTable expected;
         expected.rebuild(t);
         for (int e = 0; e <= rsu::core::kEnergyMax; ++e)
-            ASSERT_EQ(a.tables()->fixedExpTable().at(e),
+            ASSERT_EQ(a.core().fixedExpTable().at(e),
                       expected.at(e))
                 << "stage=" << stage << " e=" << e;
         t *= 0.6;
@@ -312,7 +370,7 @@ TEST(SimdEdgeCases, PaddedLabelCounts)
     for (const int labels : {2, 8}) {
         Problem p(19, 14, labels, 53);
         GridMrf probe(p.config, p.model);
-        SweepTables tables(probe);
+        SweepTableSet tables(probe);
         EXPECT_EQ(tables.paddedLabels(), 8);
 
         const auto scalar = runSimdSequential(
@@ -380,7 +438,7 @@ TEST(SimdEdgeCases, VectorModeLargeM)
         config.temperature = 6.0;
 
         GridMrf probe(config, model);
-        SweepTables tables(probe);
+        SweepTableSet tables(probe);
         EXPECT_EQ(tables.paddedLabels(), (m + 7) / 8 * 8);
 
         const auto run = [&](SweepPath path, SimdIsa isa) {
@@ -419,6 +477,42 @@ TEST(SimdEdgeCases, DegenerateLattices)
             ASSERT_EQ(scalar, vector) << w << "x" << h;
         }
     }
+}
+
+TEST(SimdOracle, CheckerboardSweepMatchesIndependentReplay)
+{
+    // Scalar == AVX2 only shows the two kernels agree; this pins what
+    // they draw. The thin lattices are all border sites, 15x11 mixes
+    // both kinds, and the warmer temperature makes most draws
+    // genuinely random.
+    const SimdIsa widest = rsu::core::activeSimdIsa();
+    const std::pair<int, int> dims[] = {
+        {1, 24}, {24, 1}, {2, 15}, {15, 11}};
+    for (const auto &[w, h] : dims)
+        for (const int labels : {2, 5, 8}) {
+            Problem p(w, h, labels, 71);
+            const double cold = p.config.temperature;
+            for (const double t : {cold, 4.0 * cold}) {
+                p.config.temperature = t;
+                GridMrf start(p.config, p.model);
+                start.initializeMaximumLikelihood();
+                const auto expected =
+                    replaySimdCheckerboardSweep(start, 29);
+                for (const SimdIsa isa : {SimdIsa::Scalar, widest}) {
+                    GridMrf mrf(p.config, p.model);
+                    mrf.initializeMaximumLikelihood();
+                    GibbsSampler sampler(mrf, 29,
+                                         Schedule::Checkerboard,
+                                         SweepPath::Simd);
+                    sampler.setSimdIsa(isa);
+                    sampler.sweep();
+                    ASSERT_EQ(mrf.labels(), expected)
+                        << w << "x" << h << " M=" << labels
+                        << " T=" << t << " isa="
+                        << rsu::core::simdIsaName(isa);
+                }
+            }
+        }
 }
 
 TEST(SimdWorkCounters, LogicalCostsMatchReference)

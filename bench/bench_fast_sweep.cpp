@@ -6,8 +6,8 @@
  * realizations of the Gibbs inner loop — GibbsSampler's reference
  * path (virtual data2 + EnergyUnit + std::exp per candidate), the
  * Table path (precomputed singleton/doubleton/exp
- * lookups with the interior/border split, bit-identical to the
- * reference), and the Simd path (runtime-dispatched vector kernels
+ * lookups, border sites reading a zero doubleton row per missing
+ * neighbour, bit-identical to the reference), and the Simd path (runtime-dispatched vector kernels
  * over Q32 fixed-point weights; identical across ISAs, not
  * bit-identical) — on square lattices across label counts. The
  * label-count sweep spans the paper's workloads: M = 2/8 run in

@@ -62,11 +62,12 @@ AcceleratorSim::sweep()
     // Checkerboard: all even-parity sites (round-robin across
     // units), then all odd-parity sites.
     int counter = 0;
-    core_.sweep([&](auto &&interior, auto &&border) {
-        rsu::mrf::forEachSiteSplit(
+    core_.sweep([&](auto &&row) {
+        rsu::mrf::forEachSite(
             mrf_.width(), mrf_.height(), rsu::mrf::Schedule::Checkerboard,
-            [&](int x, int y) { interior(counter++ % n_units, x, y); },
-            [&](int x, int y) { border(counter++ % n_units, x, y); });
+            [&](int x, int y) {
+                row(counter++ % n_units, y, x, x + 1, 1);
+            });
     });
 
     AcceleratorIterationStats stats;

@@ -5,9 +5,12 @@
  * A first-order MRF's conditional-independence structure lets all
  * same-colour sites of a checkerboard partition update concurrently
  * (paper section 4.2, Figure 4) — the parallelism both the augmented
- * GPU and the discrete accelerator exploit. The software samplers
- * share these visit-order generators so every implementation sweeps
- * sites identically.
+ * GPU and the discrete accelerator exploit. The site-by-site
+ * samplers (ICM, Metropolis, RsuGibbsSampler's Isa mode and
+ * AcceleratorSim's round-robin deal) visit sites with these
+ * generators; the sweep core's drivers hand it row runs in the same
+ * orders (mrf/sweep_core.h), so every implementation sweeps sites
+ * identically.
  */
 
 #ifndef RSU_MRF_SCHEDULE_H
@@ -24,11 +27,11 @@ enum class Schedule {
 /**
  * Invoke @p fn(x, y) for every site of rows [y0, y1) whose
  * checkerboard colour (x + y) mod 2 equals @p parity, in row-major
- * order. This is the shard primitive of the chromatic runtime: the
- * whole-lattice checkerboard sweep is the y0 = 0, y1 = height case,
- * and a row-band shard is any sub-range — both iterate sites in the
- * exact same per-row order, so shard boundaries never change which
- * sites a colour phase visits or in what order within a row.
+ * order. Row y's sites of one colour are the run x = (parity ^ y) & 1,
+ * x + 2, ... < width — the run the chromatic runtime hands the sweep
+ * core for each row of a shard's band, so shard boundaries never
+ * change which sites a colour phase visits or in what order within a
+ * row.
  */
 template <typename Fn>
 void
@@ -55,86 +58,6 @@ forEachSite(int width, int height, Schedule schedule, Fn &&fn)
     }
     for (int parity = 0; parity < 2; ++parity)
         forEachSiteInRows(width, 0, height, parity, fn);
-}
-
-/**
- * forEachSiteInRows() with the visit split into lattice-interior and
- * lattice-border sites: @p interior(x, y) is invoked for sites whose
- * four neighbours all exist (x in [1, width-2], y in [1, height-2]),
- * @p border(x, y) for the rest. The visit order is *identical* to
- * forEachSiteInRows — the split changes which callable runs, never
- * the sequence — so a sampler that consumes entropy per site stays
- * bit-identical to an unsplit sweep. This is what lets the
- * table-driven fast path run a branch-free four-neighbour
- * accumulation over the interior while border sites keep the
- * validity checks. Classification is by *lattice* coordinates: a
- * row-band shard's first and last rows are interior when they are
- * interior rows of the lattice.
- */
-template <typename FnInterior, typename FnBorder>
-void
-forEachSiteInRowsSplit(int width, int height, int y0, int y1,
-                       int parity, FnInterior &&interior,
-                       FnBorder &&border)
-{
-    for (int y = y0; y < y1; ++y) {
-        int x = (parity ^ y) & 1;
-        if (y == 0 || y == height - 1) {
-            for (; x < width; x += 2)
-                border(x, y);
-            continue;
-        }
-        if (x == 0) {
-            border(0, y);
-            x = 2;
-        }
-        for (; x < width - 1; x += 2)
-            interior(x, y);
-        if (x == width - 1)
-            border(x, y);
-    }
-}
-
-/**
- * Raster-order interior/border split over rows [y0, y1); same
- * order-preservation contract as forEachSiteInRowsSplit.
- */
-template <typename FnInterior, typename FnBorder>
-void
-forEachSiteRasterRowsSplit(int width, int height, int y0, int y1,
-                           FnInterior &&interior, FnBorder &&border)
-{
-    for (int y = y0; y < y1; ++y) {
-        if (y == 0 || y == height - 1) {
-            for (int x = 0; x < width; ++x)
-                border(x, y);
-            continue;
-        }
-        border(0, y);
-        for (int x = 1; x < width - 1; ++x)
-            interior(x, y);
-        if (width > 1)
-            border(width - 1, y);
-    }
-}
-
-/**
- * forEachSite() with the interior/border split, preserving the
- * schedule's exact visit order.
- */
-template <typename FnInterior, typename FnBorder>
-void
-forEachSiteSplit(int width, int height, Schedule schedule,
-                 FnInterior &&interior, FnBorder &&border)
-{
-    if (schedule == Schedule::Raster) {
-        forEachSiteRasterRowsSplit(width, height, 0, height,
-                                   interior, border);
-        return;
-    }
-    for (int parity = 0; parity < 2; ++parity)
-        forEachSiteInRowsSplit(width, height, 0, height, parity,
-                               interior, border);
 }
 
 } // namespace rsu::mrf

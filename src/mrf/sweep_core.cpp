@@ -108,24 +108,24 @@ SweepCore::deviceUpdate(SweepChain &chain, int x, int y)
 void
 SweepCore::sweepInOrder(Schedule schedule)
 {
-    sweep([&](auto &&interior, auto &&border) {
-        forEachSiteSplit(
-            mrf_.width(), mrf_.height(), schedule,
-            [&](int x, int y) { interior(0, x, y); },
-            [&](int x, int y) { border(0, x, y); });
+    const int w = mrf_.width();
+    const int h = mrf_.height();
+    sweep([&](auto &&row) {
+        if (schedule == Schedule::Raster) {
+            for (int y = 0; y < h; ++y)
+                row(0, y, 0, w, 1);
+            return;
+        }
+        for (int parity = 0; parity < 2; ++parity)
+            for (int y = 0; y < h; ++y)
+                row(0, y, (parity ^ y) & 1, w, 2);
     });
 }
 
 Label
 SweepCore::updateSite(int x, int y)
 {
-    sweep([&](auto &&interior, auto &&border) {
-        if (x > 0 && x < mrf_.width() - 1 && y > 0 &&
-            y < mrf_.height() - 1)
-            interior(0, x, y);
-        else
-            border(0, x, y);
-    });
+    sweep([&](auto &&row) { row(0, y, x, x + 1, 1); });
     return mrf_.label(x, y);
 }
 

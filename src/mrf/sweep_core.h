@@ -20,15 +20,21 @@
  *  - the chain lifecycle: unit set-up, temperature changes, SIMD ISA
  *    selection, fault injection, and summed work and device stats.
  *
- * A sweep is driven by a caller-supplied driver. sweep() hands it two
- * kernels, interior(chain, x, y) and border(chain, x, y) — the first
- * valid only where all four neighbours exist — and the driver visits
- * sites. On the Table and Simd paths both kernels run one site-update
- * body over the site's four neighbour doubleton rows: interior loads
- * them directly, border substitutes DoubletonTable's zero row for a
- * missing neighbour. Drivers and kernels are template callables, so
- * every per-site call inlines (the Simd body in particular loses ~3x
- * when its table loads cannot be hoisted out of the row loop).
+ * A sweep is driven by a caller-supplied driver. sweep() hands it one
+ * row kernel, row(chain, y, x, end, step), which resamples sites x,
+ * x + step, ... < end of row y on that chain, in that order; the
+ * driver decides which rows, which run of each row and which chain.
+ * A run of same-colour sites in one row is the paper's parallel unit
+ * of work (section 4.2, Figure 4). On the Table and Simd paths the
+ * row kernel runs one site-update body over the site's four
+ * neighbour doubleton rows, and it is the one place that tells
+ * interior from border sites: interior sites load the four rows
+ * directly, with no per-site bounds check, and border sites (first
+ * and last row, first and last column) substitute DoubletonTable's
+ * zero row for a missing neighbour. Drivers and kernels are template
+ * callables, so every per-site call inlines (the Simd body in
+ * particular loses ~3x when its table loads cannot be hoisted out of
+ * the row loop).
  */
 
 #ifndef RSU_MRF_SWEEP_CORE_H
@@ -103,27 +109,18 @@ class SweepCore
     SweepCore(GridMrf &mrf, rsu::core::RsuG &unit);
 
     /**
-     * One sweep: picks the kernel pair and returns
-     * @p drive(interior, border), where each kernel resamples site
-     * (x, y) on chain c when called as kernel(c, x, y). The driver
-     * must call interior only for sites with all four neighbours.
+     * One sweep: picks the kernel and returns @p drive(row), where
+     * row(c, y, x, end, step) resamples sites x, x + step, ... < end
+     * of row y on chain c, in that order (0 <= x, end <= width).
      */
     template <typename Driver>
     auto
     sweep(Driver &&drive)
     {
-        if (data2_) { // device chains: the RSU-G race
-            const auto device = [this](int c, int x, int y) {
-                deviceUpdate(chains_[c], x, y);
-            };
-            return drive(device, device);
-        }
-        if (!table_set_) {
-            const auto reference = [this](int c, int x, int y) {
-                referenceUpdate(chains_[c], x, y);
-            };
-            return drive(reference, reference);
-        }
+        if (data2_) // device chains: the RSU-G race
+            return drive(eachSite<&SweepCore::deviceUpdate>());
+        if (!table_set_)
+            return drive(eachSite<&SweepCore::referenceUpdate>());
         // Single-threaded before any chain runs: rebuild the exp
         // tables if annealing moved the temperature.
         if (temperature_version_ != mrf_.temperatureVersion())
@@ -190,41 +187,65 @@ class SweepCore
     const rsu::core::Data2Table &data2() const { return *data2_; }
 
   private:
+    /** A row kernel running @p Update(chain, x, y) on each site of
+     * the run (the Reference and device paths). */
+    template <auto Update>
+    auto
+    eachSite()
+    {
+        return [this](int c, int y, int x, int end, int step) {
+            for (; x < end; x += step)
+                (this->*Update)(chains_[c], x, y);
+        };
+    }
+
     /**
-     * Hand @p drive the Table/Simd kernel pair around
+     * Hand @p drive the Table/Simd row kernel around
      * @p Update(chain, x, y, d0, d1, d2, d3), the one site-update
      * body of the path, where d0..d3 are the doubleton rows of the
-     * N, S, W and E neighbours. The interior kernel loads the four
-     * rows directly; the border kernel reads the zero row for each
-     * missing neighbour.
+     * N, S, W and E neighbours. Border sites read the zero row for
+     * each missing neighbour; the interior sites between them load
+     * the four rows directly.
      */
     template <auto Update, typename Driver>
     auto
     driveRows(Driver &drive)
     {
-        const rsu::core::DoubletonTable &dt = table_set_->doubleton();
-        const Label *labels = mrf_.labels().data();
-        const int w = mrf_.width();
-        const int h = mrf_.height();
-        return drive(
-            [&](int c, int x, int y) {
+        return drive([this](int c, int y, int x, int end, int step) {
+            const rsu::core::DoubletonTable &dt = table_set_->doubleton();
+            const Label *labels = mrf_.labels().data();
+            const int w = mrf_.width();
+            const int h = mrf_.height();
+            SweepChain &ch = chains_[c];
+            const auto border = [&](int bx) {
+                const int site = y * w + bx;
+                const int32_t *zero = dt.zeroRow();
+                (this->*Update)(
+                    ch, bx, y, y > 0 ? dt.row(labels[site - w]) : zero,
+                    y + 1 < h ? dt.row(labels[site + w]) : zero,
+                    bx > 0 ? dt.row(labels[site - 1]) : zero,
+                    bx + 1 < w ? dt.row(labels[site + 1]) : zero);
+            };
+            if (y == 0 || y == h - 1) {
+                for (; x < end; x += step)
+                    border(x);
+                return;
+            }
+            if (x == 0 && end > 0) {
+                border(0);
+                x = step;
+            }
+            for (const int last = end < w - 1 ? end : w - 1; x < last;
+                 x += step) {
                 const int site = y * w + x;
-                (this->*Update)(chains_[c], x, y,
-                                dt.row(labels[site - w]),
+                (this->*Update)(ch, x, y, dt.row(labels[site - w]),
                                 dt.row(labels[site + w]),
                                 dt.row(labels[site - 1]),
                                 dt.row(labels[site + 1]));
-            },
-            [&](int c, int x, int y) {
-                const int site = y * w + x;
-                const int32_t *zero = dt.zeroRow();
-                (this->*Update)(
-                    chains_[c], x, y,
-                    y > 0 ? dt.row(labels[site - w]) : zero,
-                    y + 1 < h ? dt.row(labels[site + w]) : zero,
-                    x > 0 ? dt.row(labels[site - 1]) : zero,
-                    x + 1 < w ? dt.row(labels[site + 1]) : zero);
-            });
+            }
+            if (x < end) // x == w - 1
+                border(x);
+        });
     }
 
     /**

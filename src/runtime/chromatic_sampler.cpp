@@ -27,9 +27,11 @@ ChromaticGibbsSampler::ChromaticGibbsSampler(
 void
 ChromaticGibbsSampler::sweep()
 {
-    core_.sweep([this](auto &&interior, auto &&border) {
-        executor_.sweepSplit(mrf_.width(), mrf_.height(), interior,
-                             border);
+    const int w = mrf_.width();
+    core_.sweep([&](auto &&row) {
+        executor_.sweep(mrf_.height(), [&](int s, int y, int parity) {
+            row(s, y, (parity ^ y) & 1, w, 2);
+        });
     });
 }
 

@@ -3,8 +3,10 @@
  * Multi-threaded chromatic Gibbs sampling over a GridMrf.
  *
  * Binds the ParallelSweepExecutor to the sweep core
- * (mrf/sweep_core.h): one core chain per shard, driven by
- * ParallelSweepExecutor::sweepSplit. Each chain owns the full
+ * (mrf/sweep_core.h): one core chain per shard. Each band row of a
+ * colour phase (ParallelSweepExecutor::sweep) becomes one call of
+ * the core's row kernel over that row's sites of the colour, on the
+ * shard's chain. Each chain owns the full
  * per-worker state a correct parallel chain needs — an RNG stream
  * (jump()-separated, see rng/streams.h) or a whole emulated RSU-G
  * device, candidate-weight scratch, and its own work counters — so a

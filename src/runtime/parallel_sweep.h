@@ -8,7 +8,9 @@
  * full conditionals and may be resampled concurrently. A sweep is two
  * phases — parity 0, barrier, parity 1 — and within a phase the
  * lattice rows are cut into contiguous row-band shards, one task per
- * shard.
+ * shard. The executor hands its caller rows, not sites: the caller
+ * resamples one row's sites of the phase's colour per call (the
+ * sweep core's row kernel, see ChromaticGibbsSampler).
  *
  * Determinism: the executor is deterministic in (shard count, what
  * the per-shard update callable does), NOT in thread scheduling. A
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "core/tables.h"
-#include "mrf/schedule.h"
 #include "runtime/thread_pool.h"
 
 namespace rsu::runtime {
@@ -88,14 +89,15 @@ class ParallelSweepExecutor
     int shards() const { return shards_; }
 
     /**
-     * One checkerboard sweep of a width x height lattice:
-     * fn(shard, x, y) is invoked for every parity-0 site (each shard
-     * concurrently, row-major within a shard), then — after a
-     * barrier — for every parity-1 site. Each phase is one
-     * ThreadPool::run fork-join that the caller's thread blocks on;
-     * fn must touch only shard-local state plus sites the chromatic
-     * argument makes safe (the site itself and its opposite-parity
-     * neighbours).
+     * One checkerboard sweep of a lattice @p height rows tall:
+     * fn(shard, y, 0) is invoked for every row of every shard's band
+     * (each shard concurrently, rows in order within a shard), then
+     * — after a barrier — fn(shard, y, 1). fn(shard, y, parity)
+     * resamples the sites of row y whose colour (x + y) mod 2 is
+     * parity. Each phase is one ThreadPool::run fork-join that the
+     * caller's thread blocks on; fn must touch only shard-local
+     * state plus sites the chromatic argument makes safe (the row's
+     * sites of that colour and their opposite-colour neighbours).
      *
      * An exception thrown by @p fn on any shard is rethrown here
      * (first one wins) once every shard of that phase finished; the
@@ -105,38 +107,14 @@ class ParallelSweepExecutor
      */
     template <typename Fn>
     void
-    sweep(int width, int height, Fn &&fn)
-    {
-        // The split visit with one callable on both classes is the
-        // plain checkerboard sweep (identical site order).
-        sweepSplit(width, height, fn, fn);
-    }
-
-    /**
-     * sweep() with the lattice-interior/border split: for sites
-     * whose four neighbours all exist, interior(shard, x, y) runs
-     * instead of border(shard, x, y). Visit order is identical to
-     * sweep() — the split selects a kernel, never reorders — so a
-     * per-shard entropy stream is consumed the same way on either
-     * form. This is how the table-driven fast path drives its
-     * branch-free interior kernel per shard
-     * (mrf::forEachSiteInRowsSplit classifies by lattice
-     * coordinates, so band-edge rows of an interior shard still run
-     * the interior kernel).
-     */
-    template <typename FnInterior, typename FnBorder>
-    void
-    sweepSplit(int width, int height, FnInterior &&interior,
-               FnBorder &&border)
+    sweep(int height, Fn &&fn)
     {
         const auto bands = shardRows(height, shards_);
         for (int parity = 0; parity < 2; ++parity) {
             const auto start = std::chrono::steady_clock::now();
             pool_.run(shards_, [&](int s) {
-                rsu::mrf::forEachSiteInRowsSplit(
-                    width, height, bands[s].y0, bands[s].y1, parity,
-                    [&](int x, int y) { interior(s, x, y); },
-                    [&](int x, int y) { border(s, x, y); });
+                for (int y = bands[s].y0; y < bands[s].y1; ++y)
+                    fn(s, y, parity);
             });
             const std::chrono::duration<double> elapsed =
                 std::chrono::steady_clock::now() - start;

@@ -514,19 +514,22 @@ TEST(ExceptionPaths, ThrowingSweepKernelRethrowsAndPoolSurvives)
     ThreadPool pool(2);
     ParallelSweepExecutor executor(pool, 2);
 
-    EXPECT_THROW(executor.sweep(8, 8,
-                                [](int, int x, int y) {
-                                    if (x == 3 && y == 3)
-                                        throw std::runtime_error(
-                                            "kernel fault");
+    EXPECT_THROW(executor.sweep(8,
+                                [](int, int y, int parity) {
+                                    for (int x = (parity ^ y) & 1;
+                                         x < 8; x += 2)
+                                        if (x == 3 && y == 3)
+                                            throw std::runtime_error(
+                                                "kernel fault");
                                 }),
                  std::runtime_error);
 
     // The pool and executor must still work: no wedged fork-join, no
     // poisoned workers.
     std::atomic<int> visits{0};
-    executor.sweep(8, 8, [&](int, int, int) {
-        visits.fetch_add(1, std::memory_order_relaxed);
+    executor.sweep(8, [&](int, int y, int parity) {
+        for (int x = (parity ^ y) & 1; x < 8; x += 2)
+            visits.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(visits.load(), 64);
 }

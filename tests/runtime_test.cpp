@@ -349,19 +349,21 @@ TEST(ParallelSweep, NoSamePhaseNeighbourUpdates)
         // The executor runs both phases inside one sweep() call;
         // the phase a site was updated in is derivable from its
         // parity, giving every update a unique phase stamp.
-        executor.sweep(w, h, [&](int, int x, int y) {
-            const int current = 2 * sweep + ((x + y) & 1);
-            const int dx[] = {1, -1, 0, 0};
-            const int dy[] = {0, 0, 1, -1};
-            for (int k = 0; k < 4; ++k) {
-                const int nx = x + dx[k], ny = y + dy[k];
-                if (nx < 0 || nx >= w || ny < 0 || ny >= h)
-                    continue;
-                if (stamp[ny * w + nx].load() == current)
-                    violations.fetch_add(1);
+        executor.sweep(h, [&](int, int y, int parity) {
+            for (int x = (parity ^ y) & 1; x < w; x += 2) {
+                const int current = 2 * sweep + ((x + y) & 1);
+                const int dx[] = {1, -1, 0, 0};
+                const int dy[] = {0, 0, 1, -1};
+                for (int k = 0; k < 4; ++k) {
+                    const int nx = x + dx[k], ny = y + dy[k];
+                    if (nx < 0 || nx >= w || ny < 0 || ny >= h)
+                        continue;
+                    if (stamp[ny * w + nx].load() == current)
+                        violations.fetch_add(1);
+                }
+                stamp[y * w + x].store(current);
+                updates.fetch_add(1);
             }
-            stamp[y * w + x].store(current);
-            updates.fetch_add(1);
         });
     }
     EXPECT_EQ(violations.load(), 0);

@@ -462,19 +462,29 @@ TEST(SimdEdgeCases, VectorModeLargeM)
 
 TEST(SimdEdgeCases, DegenerateLattices)
 {
-    // 1xN / Nx1 / tiny lattices: every site runs the border kernel.
+    // 1xN / Nx1 / tiny lattices: every site is a border site.
+    // The w x h grid adds every shape from no interior site up to a
+    // 7x5 interior, each also at 4x the temperature.
     const SimdIsa widest = rsu::core::activeSimdIsa();
-    const std::pair<int, int> dims[] = {
+    std::vector<std::pair<int, int>> dims = {
         {1, 24}, {24, 1}, {1, 1}, {2, 15}, {15, 2}};
+    for (const int w : {1, 2, 3, 9})
+        for (const int h : {1, 2, 7})
+            dims.emplace_back(w, h);
     for (const auto &[w, h] : dims) {
         Problem p(w, h, 3, 61);
-        for (const Schedule schedule :
-             {Schedule::Raster, Schedule::Checkerboard}) {
-            const auto scalar = runSimdSequential(
-                p, 3, schedule, SimdIsa::Scalar, 6);
-            const auto vector =
-                runSimdSequential(p, 3, schedule, widest, 6);
-            ASSERT_EQ(scalar, vector) << w << "x" << h;
+        const double cold = p.config.temperature;
+        for (const double t : {cold, 4.0 * cold}) {
+            p.config.temperature = t;
+            for (const Schedule schedule :
+                 {Schedule::Raster, Schedule::Checkerboard}) {
+                const auto scalar = runSimdSequential(
+                    p, 3, schedule, SimdIsa::Scalar, 6);
+                const auto vector =
+                    runSimdSequential(p, 3, schedule, widest, 6);
+                ASSERT_EQ(scalar, vector)
+                    << w << "x" << h << " T=" << t;
+            }
         }
     }
 }

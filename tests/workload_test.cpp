@@ -106,10 +106,11 @@ TEST(WorkloadProblem, FactoriesProduceSelfContainedProblems)
             problem.config.temperature);
         EXPECT_FALSE(
             problem.default_annealing.temperatures().empty());
-        if (!problem.ground_truth.empty())
+        if (!problem.ground_truth.empty()) {
             EXPECT_EQ(static_cast<int>(problem.ground_truth.size()),
                       32 * 24)
                 << name;
+        }
     }
 }
 

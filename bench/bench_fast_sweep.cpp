@@ -18,17 +18,16 @@
  * It is the honest software baseline the paper's accelerator
  * comparisons should be read against.
  *
- * Two more sections follow the per-path grid:
- * - parallel: the chromatic runtime sweeping the largest size at
- *   the largest M for Table/Simd x shard counts {1, 2, 4, 8}.
- *   Each row's vs_1_shard is its rate over the same path's
- *   1-shard rate — the multicore-scaling regression guard. Read
- *   these against the metadata's hardware_concurrency — on a
- *   1-thread host the shard sweep measures determinism overhead,
- *   not scaling.
- * - table_cache: the InferenceEngine's cross-job SweepTableSet
- *   cache — per-job table build seconds for a cold vs warm
- *   (repeat-model) submission; warm must be ~0.
+ * A parallel section follows the per-path grid: the chromatic
+ * runtime sweeping the largest size at the largest M for Table/Simd
+ * x shard counts {1, 2, 4, 8}. Each row's vs_1_shard is its rate
+ * over the same path's 1-shard rate — the multicore-scaling
+ * regression guard. Read these against the metadata's
+ * hardware_concurrency — on a 1-thread host the shard sweep
+ * measures determinism overhead, not scaling. The engine's
+ * cross-job table cache is measured by perfbench
+ * (runtime.engine.table_cache_hit_ratio / table_build_s) and pinned
+ * by the EngineTableCache tests, not here.
  *
  * Results go to stdout as a table and to BENCH_fast_sweep.json as
  *   {"benchmark": "fast_sweep",
@@ -40,9 +39,7 @@
  *                 "table_build_seconds": B, "speedup": X,
  *                 "simd_speedup": Y, "simd_vs_table": Z}, ...],
  *    "parallel": [{"path": P, "shards": S, "sites_per_sec": R,
- *                  "vs_1_shard": Q},...],
- *    "table_cache": {"cold_build_seconds": C,
- *                    "warm_build_seconds": W, "warm_hit": true}}
+ *                  "vs_1_shard": Q},...]}
  *
  * Usage:
  *   bench_fast_sweep [sizes-csv] [labels-csv] [site-budget]
@@ -57,7 +54,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,7 +64,6 @@
 #include "mrf/gibbs.h"
 #include "mrf/grid_mrf.h"
 #include "runtime/chromatic_sampler.h"
-#include "runtime/inference_engine.h"
 #include "runtime/parallel_sweep.h"
 #include "runtime/thread_pool.h"
 
@@ -339,7 +334,7 @@ main(int argc, char **argv)
                 // Table construction cost, reported separately: it
                 // is a one-time per-model cost the sweep rate
                 // amortizes (and the engine's cache shares across
-                // jobs — see the table_cache section below).
+                // jobs).
                 mrf::GridMrf build_mrf(config, model);
                 const auto build_start =
                     std::chrono::steady_clock::now();
@@ -436,24 +431,6 @@ main(int argc, char **argv)
                     simd_rate, simd_rate / simd_one);
     }
 
-    // Engine table cache: identical jobs back to back — the second
-    // must find the first's SweepTableSet and skip the build.
-    runtime::EngineOptions engine_options;
-    engine_options.max_concurrent_jobs = 1;
-    runtime::InferenceEngine engine(engine_options);
-    runtime::InferenceJob cache_job;
-    cache_job.config = par_config;
-    cache_job.singleton = {std::shared_ptr<const void>(), &par_model};
-    cache_job.sweeps = 1;
-    cache_job.sweep_path = mrf::SweepPath::Simd;
-    cache_job.shards = 1;
-    const auto cold = engine.submit(cache_job).get();
-    const auto warm = engine.submit(cache_job).get();
-    std::printf("\nengine table cache: cold build %.4fs, warm "
-                "build %.4fs (hit: %s)\n",
-                cold.table_build_seconds, warm.table_build_seconds,
-                warm.table_cache_hit ? "yes" : "no");
-
     FILE *json = std::fopen("BENCH_fast_sweep.json", "w");
     if (!json) {
         std::fprintf(stderr, "cannot write BENCH_fast_sweep.json\n");
@@ -492,13 +469,7 @@ main(int argc, char **argv)
                      r.path, r.shards, r.sites_per_sec, r.vs_1_shard,
                      i + 1 < parallel_rows.size() ? "," : "");
     }
-    std::fprintf(json,
-                 "  ],\n  \"table_cache\": "
-                 "{\"cold_build_seconds\": %.6f, "
-                 "\"warm_build_seconds\": %.6f, \"warm_hit\": %s}\n"
-                 "}\n",
-                 cold.table_build_seconds, warm.table_build_seconds,
-                 warm.table_cache_hit ? "true" : "false");
+    std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
     std::printf("\nwrote BENCH_fast_sweep.json (%zu rows)\n",
                 rows.size());

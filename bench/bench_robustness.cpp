@@ -116,10 +116,7 @@ main(int argc, char **argv)
     const int pairs = 20;
 
     mrf::GridMrf mrf(problem.config, *problem.singleton);
-    if (problem.initial_labels.empty())
-        mrf.initializeMaximumLikelihood();
-    else
-        mrf.setLabels(problem.initial_labels);
+    mrf.initializeMaximumLikelihood();
     runtime::ThreadPool pool(threads);
     runtime::ParallelSweepExecutor executor(pool, threads);
     runtime::ChromaticGibbsSampler sampler(

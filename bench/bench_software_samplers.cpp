@@ -153,10 +153,7 @@ workloadSweep(benchmark::State &state, const std::string &name,
         rsu::workload::WorkloadRegistry::builtin().make(name,
                                                         scene);
     rsu::mrf::GridMrf mrf(problem.config, *problem.singleton);
-    if (problem.initial_labels.empty())
-        mrf.initializeMaximumLikelihood();
-    else
-        mrf.setLabels(problem.initial_labels);
+    mrf.initializeMaximumLikelihood();
     rsu::mrf::GibbsSampler sampler(
         mrf, 7, rsu::mrf::Schedule::Checkerboard, path);
     for (auto _ : state)

@@ -169,10 +169,9 @@ main(int argc, char **argv)
         submit.sweeps = sweeps;
         submit.seed = 42 + j;
         submit.anneal = j % 3 == 2;
-        submit.energy_trace_stride = sweeps; // endpoints only
-        if (deadline_ms > 0.0)
-            submit.deadline_seconds = deadline_ms / 1000.0;
         auto job = makeJob(problem, submit);
+        if (deadline_ms > 0.0)
+            job.deadline_seconds = deadline_ms / 1000.0;
         if (cancel_after > 0) {
             // Each job trips its own token after K sweeps; the
             // engine stops it before sweep K+1, so exactly K sweeps
@@ -227,11 +226,11 @@ main(int argc, char **argv)
         char quality[32] = "-";
         if (result.quality)
             std::snprintf(quality, sizeof quality, "%s=%.3f",
-                          result.quality_metric.c_str(),
+                          submitted[j]->quality.name.c_str(),
                           *result.quality);
         std::printf("%4llu %-13s %6s %6d %12lld %12lld %7d %8.3f "
                     "%9s %5s %14s\n",
-                    static_cast<unsigned long long>(result.job_id),
+                    static_cast<unsigned long long>(handles[j].id()),
                     submitted[j]->workload.c_str(),
                     annealed[j] ? "anneal" : "gibbs", result.shards,
                     static_cast<long long>(result.initial_energy),

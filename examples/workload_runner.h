@@ -164,11 +164,11 @@ runWorkload(const rsu::workload::InferenceProblem &problem,
                 static_cast<long long>(result.final_energy),
                 result.sweeps_run, result.shards,
                 result.elapsed_seconds);
+    const auto &metric = problem.quality;
     if (result.quality)
         std::printf("quality: %s = %.3f (%s is better)\n",
-                    result.quality_metric.c_str(), *result.quality,
-                    result.quality_higher_is_better ? "higher"
-                                                    : "lower");
+                    metric.name.c_str(), *result.quality,
+                    metric.higher_is_better ? "higher" : "lower");
     if (labels_out)
         *labels_out = result.labels;
 
@@ -195,13 +195,12 @@ runWorkload(const rsu::workload::InferenceProblem &problem,
             exit_code = 1;
         } else {
             const bool pass =
-                result.quality_higher_is_better
+                metric.higher_is_better
                     ? *result.quality >= *args.check_quality
                     : *result.quality <= *args.check_quality;
             std::printf("quality gate (%s %s %.3f): %s\n",
-                        result.quality_metric.c_str(),
-                        result.quality_higher_is_better ? ">="
-                                                        : "<=",
+                        metric.name.c_str(),
+                        metric.higher_is_better ? ">=" : "<=",
                         *args.check_quality,
                         pass ? "pass" : "FAILED");
             if (!pass)

@@ -5,15 +5,14 @@
 #
 #   asan   AddressSanitizer + UndefinedBehaviorSanitizer: the
 #          table-driven sweep kernels index precomputed arrays with
-#          raw site/label arithmetic, which this build polices.
+#          raw site/label arithmetic, and the SIMD kernels have
+#          integer edge cases (128-bit draw scaling, Q32 weight
+#          accumulation, lane widening/narrowing); this build
+#          polices both.
 #   tsan   ThreadSanitizer: the thread pool, the chromatic executor
 #          and the sampler kernels it drives.
-#   ubsan  UndefinedBehaviorSanitizer alone: the SIMD kernels'
-#          integer edge cases (128-bit draw scaling, Q32 weight
-#          accumulation, lane widening/narrowing), without ASan's
-#          shadow memory slowing the vector paths.
 #
-# Usage: scripts/check_sanitizer.sh asan|tsan|ubsan [build-dir]
+# Usage: scripts/check_sanitizer.sh asan|tsan [build-dir]
 #        (default build-dir: build-<sanitizer>)
 set -euo pipefail
 
@@ -27,12 +26,8 @@ tsan)
     SANITIZE=thread
     RECOVER=""
     NAME="ThreadSanitizer" ;;
-ubsan)
-    SANITIZE=undefined
-    RECOVER=" -fno-sanitize-recover=all"
-    NAME="UndefinedBehaviorSanitizer" ;;
 *)
-    echo "usage: $0 asan|tsan|ubsan [build-dir]" >&2
+    echo "usage: $0 asan|tsan [build-dir]" >&2
     exit 2 ;;
 esac
 

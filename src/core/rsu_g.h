@@ -220,7 +220,6 @@ class RsuG
     bool faultsInjected() const { return faults_active_; }
 
     const RsuGStats &stats() const { return stats_; }
-    void resetStats() { stats_ = RsuGStats{}; }
 
     const RsuGConfig &config() const { return config_; }
     double temperature() const { return temperature_; }

@@ -23,7 +23,6 @@
 #include "mrf/grid_mrf.h"
 #include "mrf/schedule.h"
 #include "mrf/sweep_core.h"
-#include "rng/xoshiro256.h"
 
 namespace rsu::mrf {
 
@@ -82,7 +81,6 @@ class GibbsSampler
     const SweepCore &core() const { return core_; }
 
     const SamplerWork &work() const { return core_.chain(0).work; }
-    rsu::rng::Xoshiro256 &rng() { return core_.chain(0).rng; }
 
   private:
     Schedule schedule_;

@@ -10,7 +10,7 @@ ChromaticGibbsSampler::ChromaticGibbsSampler(
     uint64_t seed, SamplerKind kind,
     const rsu::core::RsuGConfig &rsu_base, rsu::mrf::SweepPath path,
     std::shared_ptr<const rsu::mrf::SweepTableSet> table_set)
-    : mrf_(mrf), executor_(executor), kind_(kind), path_(path),
+    : mrf_(mrf), executor_(executor), path_(path),
       core_(kind == SamplerKind::RsuGibbs
                 ? rsu::mrf::SweepCore(
                       mrf,

@@ -100,7 +100,6 @@ class ChromaticGibbsSampler
     /** Work counters summed over all shards. */
     rsu::mrf::SamplerWork work() const { return core_.work(); }
 
-    SamplerKind kind() const { return kind_; }
     rsu::mrf::SweepPath path() const { return path_; }
     int shards() const { return core_.chains(); }
 
@@ -146,7 +145,6 @@ class ChromaticGibbsSampler
   private:
     rsu::mrf::GridMrf &mrf_;
     ParallelSweepExecutor &executor_;
-    SamplerKind kind_;
     rsu::mrf::SweepPath path_;
     rsu::mrf::SweepCore core_;
 };

@@ -130,8 +130,7 @@ InferenceEngine::submit(InferenceJob job)
                                   "engine shut down while submit "
                                   "was blocked on backpressure");
         }
-        queued.id = next_id_++;
-        queued.control->id = queued.id;
+        queued.control->id = next_id_++;
         ++unfinished_;
         queue_.push_back(std::move(queued));
     }
@@ -170,7 +169,7 @@ InferenceEngine::acquireTableSet(const rsu::mrf::GridMrf &mrf,
     key.energy = mrf.config().energy;
     key.codes = mrf.labelCodes();
 
-    if (options_.table_cache_capacity > 0) {
+    {
         std::lock_guard<std::mutex> lock(table_mutex_);
         for (std::size_t i = 0; i < table_cache_.size(); ++i) {
             if (table_cache_[i].key == key) {
@@ -196,24 +195,17 @@ InferenceEngine::acquireTableSet(const rsu::mrf::GridMrf &mrf,
         std::chrono::steady_clock::now() - start;
     result.table_build_seconds = built.count();
 
-    if (options_.table_cache_capacity > 0) {
-        std::lock_guard<std::mutex> lock(table_mutex_);
-        // A racing job may have inserted this model while we built;
-        // don't cache a duplicate (our identical set still serves
-        // this job, then dies with it).
-        bool present = false;
-        for (const auto &entry : table_cache_)
-            if (entry.key == key) {
-                present = true;
-                break;
-            }
-        if (!present) {
-            table_cache_.push_back(
-                {std::move(key), job.singleton, set});
-            while (static_cast<int>(table_cache_.size()) >
-                   options_.table_cache_capacity)
-                table_cache_.erase(table_cache_.begin());
-        }
+    std::lock_guard<std::mutex> lock(table_mutex_);
+    // A racing job may have inserted this model while we built;
+    // don't cache a duplicate (our identical set still serves this
+    // job, then dies with it).
+    const bool present = std::any_of(
+        table_cache_.begin(), table_cache_.end(),
+        [&](const TableCacheEntry &entry) { return entry.key == key; });
+    if (!present) {
+        table_cache_.push_back({std::move(key), job.singleton, set});
+        if (static_cast<int>(table_cache_.size()) > kTableCacheCapacity)
+            table_cache_.erase(table_cache_.begin());
     }
     return set;
 }
@@ -303,7 +295,6 @@ InferenceEngine::execute(QueuedJob &queued)
     const auto start = std::chrono::steady_clock::now();
 
     InferenceResult result;
-    result.job_id = queued.id;
 
     rsu::mrf::GridMrf mrf(job.config, *job.singleton);
 
@@ -315,9 +306,7 @@ InferenceEngine::execute(QueuedJob &queued)
         job.sweep_path != rsu::mrf::SweepPath::Reference)
         table_set = acquireTableSet(mrf, job, result);
 
-    if (!job.initial_labels.empty())
-        mrf.setLabels(job.initial_labels);
-    else if (table_set)
+    if (table_set)
         mrf.initializeMaximumLikelihood(table_set->singleton());
     else
         mrf.initializeMaximumLikelihood();
@@ -334,7 +323,6 @@ InferenceEngine::execute(QueuedJob &queued)
 
     result.shards = executor.shards();
     result.initial_energy = mrf.totalEnergy(rows);
-    result.energy_trace.push_back(result.initial_energy);
 
     // Device-failure reaction: swap the failed RSU sampler for a
     // software Table sampler over the same model/executor, keeping
@@ -372,9 +360,6 @@ InferenceEngine::execute(QueuedJob &queued)
         ++result.sweeps_run;
         queued.control->sweeps_done.store(
             result.sweeps_run, std::memory_order_relaxed);
-        if (job.energy_trace_stride > 0 &&
-            result.sweeps_run % job.energy_trace_stride == 0)
-            result.energy_trace.push_back(mrf.totalEnergy(rows));
         if (job.on_sweep)
             job.on_sweep(result.sweeps_run);
         maybe_degrade();
@@ -396,9 +381,6 @@ InferenceEngine::execute(QueuedJob &queued)
         result.final_energy = mrf.totalEnergy(rows);
     }
 
-    if (result.energy_trace.back() != result.final_energy)
-        result.energy_trace.push_back(result.final_energy);
-
     result.labels = mrf.labels();
     if (job.quality) {
         // Advisory: a throwing hook never discards the labelling.
@@ -409,9 +391,6 @@ InferenceEngine::execute(QueuedJob &queued)
         } catch (...) {
             result.quality_error = "unknown quality-hook error";
         }
-        result.quality_metric = job.quality_metric;
-        result.quality_higher_is_better =
-            job.quality_higher_is_better;
     }
     // Fold in the current sampler's counters (for degraded jobs,
     // result.work already holds the device-phase counters).

@@ -16,12 +16,12 @@
  * on thread scheduling.
  *
  * Jobs on the Table/Simd sweep paths need a SweepTableSet — one
- * full scan of the singleton model. The engine keeps a small keyed
- * LRU cache of those sets: repeat jobs against the same model
- * (identity + static shape, temperature excluded — the set is
- * temperature-independent) share one immutable set instead of each
- * rescanning, so a serving mix of many short jobs on few models
- * amortizes table construction to ~zero (see
+ * full scan of the singleton model. The engine keeps a keyed LRU
+ * cache of kTableCacheCapacity such sets: repeat jobs against the
+ * same model (identity + static shape, temperature excluded — the
+ * set is temperature-independent) share one immutable set instead
+ * of each rescanning, so a serving mix of many short jobs on few
+ * models amortizes table construction to ~zero (see
  * InferenceResult::table_build_seconds). Cache misses build the set
  * with the per-row scan fanned out over the engine's own pool.
  */
@@ -99,13 +99,6 @@ struct InferenceJob
      * count. The result is bit-reproducible per (seed, shards). */
     int shards = 0;
 
-    /** Record totalEnergy() every k sweeps into the energy trace
-     * (0 = endpoints only). Each probe is a full lattice scan. */
-    int energy_trace_stride = 0;
-
-    /** Starting labelling; empty = per-site maximum likelihood. */
-    std::vector<rsu::mrf::Label> initial_labels;
-
     /**
      * Optional solution-quality hook, evaluated once on the final
      * labelling and recorded in InferenceResult::quality. The
@@ -116,14 +109,6 @@ struct InferenceJob
      */
     std::function<double(const std::vector<rsu::mrf::Label> &)>
         quality;
-
-    /** Metric name for reporting (e.g. "accuracy", "epe_px",
-     * "psnr_db"); copied into the result alongside the value. */
-    std::string quality_metric;
-
-    /** Whether larger quality values are better (false for error
-     * metrics such as mean endpoint error). */
-    bool quality_higher_is_better = true;
 
     /**
      * Wall-clock budget measured from submit(). A job past its
@@ -180,8 +165,7 @@ enum class JobOutcome
 struct InferenceResult
 {
     std::vector<rsu::mrf::Label> labels; //!< final (or best) field
-    std::vector<int64_t> energy_trace;   //!< per-stride energies
-    int64_t initial_energy = 0;
+    int64_t initial_energy = 0; //!< energy of the ML start
     int64_t final_energy = 0;   //!< energy of `labels`
     rsu::mrf::SamplerWork work; //!< summed over shards
     PhaseTiming phase_timing;   //!< per-colour-phase wall clock
@@ -195,10 +179,8 @@ struct InferenceResult
     bool table_cache_hit = false;
 
     /** Result of the job's quality hook on `labels` (empty when the
-     * job supplied none); metric name and direction ride along. */
+     * job supplied none). */
     std::optional<double> quality;
-    std::string quality_metric;
-    bool quality_higher_is_better = true;
 
     /** What() of an exception thrown by the quality hook. The hook
      * is advisory: its failure never discards the labelling, it
@@ -227,7 +209,6 @@ struct InferenceResult
 
     int sweeps_run = 0;
     int shards = 0;
-    uint64_t job_id = 0;
 };
 
 /** What submit() does when the admission queue is full. */
@@ -254,10 +235,6 @@ struct EngineOptions
     /** Jobs executed concurrently (their shard tasks interleave
      * on the pool); the rest wait queued. */
     int max_concurrent_jobs = 2;
-
-    /** SweepTableSet cache entries kept (LRU eviction); 0 disables
-     * caching — every Table/Simd job builds a private set. */
-    int table_cache_capacity = 16;
 
     /** Admission-queue bound: jobs *waiting* (not yet dispatched);
      * 0 = unbounded. Crossing it applies `backpressure`. */
@@ -341,6 +318,9 @@ class InferenceEngine
   public:
     using Options = EngineOptions;
 
+    /** SweepTableSet cache entries kept (LRU eviction). */
+    static constexpr int kTableCacheCapacity = 16;
+
     explicit InferenceEngine(Options options = {});
 
     /** Runs shutdown(Drain): every outstanding job runs and its
@@ -391,7 +371,6 @@ class InferenceEngine
          * counts against the budget. */
         std::optional<std::chrono::steady_clock::time_point>
             deadline;
-        uint64_t id = 0;
     };
 
     /**

@@ -125,7 +125,6 @@ class ParallelSweepExecutor
     }
 
     const PhaseTiming &timing() const { return timing_; }
-    void resetTiming() { timing_ = PhaseTiming{}; }
 
   private:
     ThreadPool &pool_;

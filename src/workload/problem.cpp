@@ -24,17 +24,8 @@ makeJob(const InferenceProblem &problem, const SubmitOptions &options)
     job.sweep_path = options.sweep_path;
     job.seed = options.seed;
     job.shards = options.shards;
-    job.energy_trace_stride = options.energy_trace_stride;
-    job.deadline_seconds = options.deadline_seconds;
-    job.cancel = options.cancel;
     job.faults = options.faults;
-    job.initial_labels = problem.initial_labels;
-    if (problem.quality) {
-        job.quality = problem.quality.evaluate;
-        job.quality_metric = problem.quality.name;
-        job.quality_higher_is_better =
-            problem.quality.higher_is_better;
-    }
+    job.quality = problem.quality.evaluate;
     return job;
 }
 
@@ -47,10 +38,7 @@ solveDirect(const InferenceProblem &problem,
             "workload::solveDirect: problem has no singleton model");
 
     rsu::mrf::GridMrf mrf(problem.config, *problem.singleton);
-    if (!problem.initial_labels.empty())
-        mrf.setLabels(problem.initial_labels);
-    else
-        mrf.initializeMaximumLikelihood();
+    mrf.initializeMaximumLikelihood();
 
     rsu::mrf::GibbsSampler sampler(mrf, options.seed,
                                    rsu::mrf::Schedule::Checkerboard,

@@ -10,10 +10,10 @@
  * run one MRF application instance: the lattice/potential
  * configuration, an *owned* singleton model (no "must outlive"
  * contracts — ownership travels with the problem and with every job
- * made from it), an optional starting labelling, a sensible default
- * annealing schedule, optional ground truth, and a quality-metric
- * hook (vision/metrics.h) that judges a labelling without the
- * caller knowing which application it came from.
+ * made from it), a sensible default annealing schedule, optional
+ * ground truth, and a quality-metric hook (vision/metrics.h) that
+ * judges a labelling without the caller knowing which application
+ * it came from.
  *
  * Problems come from the per-workload factories (factories.h) or by
  * name through the WorkloadRegistry (registry.h); makeJob() turns
@@ -84,9 +84,6 @@ struct InferenceProblem
      * jobs are in flight. */
     std::shared_ptr<const rsu::mrf::SingletonModel> singleton;
 
-    /** Starting labelling; empty = per-site maximum likelihood. */
-    std::vector<rsu::mrf::Label> initial_labels;
-
     /** Workload-tuned annealing schedule (start temperature matches
      * config.temperature); used when a submission opts into
      * annealing without supplying its own schedule. */
@@ -134,17 +131,6 @@ struct SubmitOptions
      * solveDirect() is sequential and ignores it. */
     int shards = 0;
 
-    /** InferenceJob::energy_trace_stride passthrough. */
-    int energy_trace_stride = 0;
-
-    /** InferenceJob::deadline_seconds passthrough (wall-clock
-     * budget from submit; solveDirect() ignores it). */
-    std::optional<double> deadline_seconds;
-
-    /** InferenceJob::cancel passthrough (cooperative cancellation;
-     * solveDirect() ignores it). */
-    rsu::runtime::CancellationToken cancel;
-
     /** InferenceJob::faults passthrough: device-fault campaign for
      * RsuGibbs submissions (solveDirect() ignores it). */
     std::optional<rsu::ret::FaultPlan> faults;
@@ -152,8 +138,9 @@ struct SubmitOptions
 
 /**
  * Build an engine job from @p problem: configuration, shared model
- * ownership, initial labels, schedule, and the quality hook all
- * travel with the job. Submit the result to any InferenceEngine.
+ * ownership, schedule, and the quality hook all travel with the
+ * job. Deadlines and cancellation are set on the returned job.
+ * Submit the result to any InferenceEngine.
  */
 rsu::runtime::InferenceJob makeJob(const InferenceProblem &problem,
                                    const SubmitOptions &options = {});

@@ -565,7 +565,6 @@ TEST(ExceptionPaths, ThrowingQualityHookIsAdvisory)
     job.quality = [](const std::vector<rsu::mrf::Label> &) -> double {
         throw std::runtime_error("metric exploded");
     };
-    job.quality_metric = "accuracy";
     const auto result = engine.submit(std::move(job)).get();
 
     EXPECT_EQ(result.outcome, JobOutcome::Completed);

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -723,12 +724,15 @@ TEST(EngineTableCache, DistinctModelsGetDistinctEntries)
 
 TEST(EngineTableCache, CapacityBoundsEntriesWithLruEviction)
 {
-    Problem a(19, 13, 4, 37);
-    Problem b(19, 13, 4, 41);
+    // One more distinct model than the cache holds (a deque: the
+    // models must not move once a job has seen them).
+    constexpr int capacity = InferenceEngine::kTableCacheCapacity;
+    std::deque<Problem> problems;
+    for (int i = 0; i <= capacity; ++i)
+        problems.emplace_back(19, 13, 4, 37 + i);
     rsu::runtime::EngineOptions options;
     options.threads = 2;
     options.max_concurrent_jobs = 1;
-    options.table_cache_capacity = 1;
     InferenceEngine engine(options);
 
     InferenceJob job;
@@ -743,23 +747,23 @@ TEST(EngineTableCache, CapacityBoundsEntriesWithLruEviction)
         return engine.submit(job).get();
     };
 
-    EXPECT_FALSE(submit(a).table_cache_hit); // miss: insert a
-    EXPECT_FALSE(submit(b).table_cache_hit); // miss: evicts a
-    EXPECT_FALSE(submit(a).table_cache_hit); // miss again: evicted
-    EXPECT_TRUE(submit(a).table_cache_hit);  // now cached
+    // Every first submission misses; the last one evicts problems[0].
+    for (const auto &p : problems)
+        EXPECT_FALSE(submit(p).table_cache_hit);
+    EXPECT_FALSE(submit(problems[0]).table_cache_hit); // evicted
+    EXPECT_TRUE(submit(problems[0]).table_cache_hit);  // now cached
     const auto stats = engine.tableCacheStats();
-    EXPECT_EQ(stats.entries, 1);
-    EXPECT_EQ(stats.misses, 3u);
+    EXPECT_EQ(stats.entries, capacity);
+    EXPECT_EQ(stats.misses, static_cast<uint64_t>(capacity + 2));
     EXPECT_EQ(stats.hits, 1u);
 }
 
-TEST(EngineTableCache, DisabledCacheAndReferencePathBypass)
+TEST(EngineTableCache, ReferencePathBypassesCache)
 {
     Problem p(17, 12, 3, 43);
     rsu::runtime::EngineOptions options;
     options.threads = 2;
     options.max_concurrent_jobs = 1;
-    options.table_cache_capacity = 0;
     InferenceEngine engine(options);
 
     InferenceJob job;
@@ -768,10 +772,6 @@ TEST(EngineTableCache, DisabledCacheAndReferencePathBypass)
     job.sweeps = 2;
     job.seed = 5;
     job.shards = 1;
-
-    job.sweep_path = SweepPath::Table;
-    EXPECT_FALSE(engine.submit(job).get().table_cache_hit);
-    EXPECT_FALSE(engine.submit(job).get().table_cache_hit);
 
     // Reference jobs never touch tables at all.
     job.sweep_path = SweepPath::Reference;

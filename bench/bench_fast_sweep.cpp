@@ -7,24 +7,29 @@
  * path (virtual data2 + EnergyUnit + std::exp per candidate), the
  * Table path (precomputed singleton/doubleton/exp
  * lookups, border sites reading a zero doubleton row per missing
- * neighbour, bit-identical to the reference), and the Simd path (runtime-dispatched vector kernels
- * over Q32 fixed-point weights; identical across ISAs, not
- * bit-identical) — on square lattices across label counts. The
- * label-count sweep spans the paper's workloads: M = 2/8 run in
- * scalar mode (denoise/segmentation-like), M = 16/49 in vector mode
- * with packed 2 x 3-bit codes (motion's 7x7 window is M = 49). A
+ * neighbour, bit-identical to the reference), and the Simd path
+ * (runtime-dispatched vector kernels over Q32 fixed-point weights,
+ * site-parallel at M = 2; identical across ISAs, not
+ * bit-identical) — on square lattices across label counts. Before
+ * timing a cell, one Simd sweep on the active ISA is checked
+ * against one on the Scalar ISA from the same start and seed; a
+ * mismatch exits 1. The label-count sweep spans the paper's
+ * workloads: M = 2/8 run in scalar mode (denoise/segmentation-like),
+ * M = 16/49 in vector mode with packed 2 x 3-bit codes (motion's
+ * 7x7 window is M = 49). A
  * deterministic synthetic singleton model keeps the data terms
  * uniform across M so the comparison isolates the sweep kernels.
  * It is the honest software baseline the paper's accelerator
  * comparisons should be read against.
  *
  * A parallel section follows the per-path grid: the chromatic
- * runtime sweeping the largest size at the largest M for Table/Simd
- * x shard counts {1, 2, 4, 8}. Each row's vs_1_shard is its rate
- * over the same path's 1-shard rate — the multicore-scaling
- * regression guard. Read these against the metadata's
- * hardware_concurrency — on a 1-thread host the shard sweep
- * measures determinism overhead, not scaling. The engine's
+ * runtime sweeping the largest size at the smallest and the largest
+ * M for Table/Simd x shard counts {1, 2, 4, 8}. Each row's
+ * vs_1_shard is its rate over the same path's and M's 1-shard
+ * rate — the multicore-scaling regression guard. Read these
+ * against the metadata's hardware_concurrency — on a 1-thread host
+ * the shard sweep measures determinism overhead, not scaling. The
+ * engine's
  * cross-job table cache is measured by perfbench
  * (runtime.engine.table_cache_hit_ratio / table_build_s) and pinned
  * by the EngineTableCache tests, not here.
@@ -38,8 +43,8 @@
  *                 "simd_sites_per_sec": V,
  *                 "table_build_seconds": B, "speedup": X,
  *                 "simd_speedup": Y, "simd_vs_table": Z}, ...],
- *    "parallel": [{"path": P, "shards": S, "sites_per_sec": R,
- *                  "vs_1_shard": Q},...]}
+ *    "parallel": [{"labels": M, "path": P, "shards": S,
+ *                  "sites_per_sec": R, "vs_1_shard": Q},...]}
  *
  * Usage:
  *   bench_fast_sweep [sizes-csv] [labels-csv] [site-budget]
@@ -155,6 +160,7 @@ struct Row
 
 struct ParallelRow
 {
+    int labels;
     const char *path;
     int shards;
     double sites_per_sec;
@@ -232,6 +238,30 @@ measureCell(rsu::mrf::GridMrf &ref_mrf, rsu::mrf::GridMrf &table_mrf,
         best.simd = v > best.simd ? v : best.simd;
     }
     return best;
+}
+
+/**
+ * Whether one Simd sweep on the active ISA draws the same labels as
+ * one on the Scalar ISA from the same ML start and seed: the
+ * kernels' identity contract (site-parallel kernel included at
+ * M = 2), checked at the size being timed.
+ */
+bool
+simdIsasAgree(const rsu::mrf::MrfConfig &config,
+              const BenchModel &model)
+{
+    const auto sweep = [&](rsu::core::SimdIsa isa) {
+        rsu::mrf::GridMrf mrf(config, model);
+        mrf.initializeMaximumLikelihood();
+        rsu::mrf::GibbsSampler sampler(mrf, 1234,
+                                       rsu::mrf::Schedule::Checkerboard,
+                                       rsu::mrf::SweepPath::Simd);
+        sampler.setSimdIsa(isa);
+        sampler.sweep();
+        return mrf.labels();
+    };
+    return sweep(rsu::core::SimdIsa::Scalar) ==
+           sweep(rsu::core::activeSimdIsa());
 }
 
 /** Sites/sec of the chromatic runtime on @p shards row bands,
@@ -326,6 +356,13 @@ main(int argc, char **argv)
             for (const int m : labels) {
                 const BenchModel model(m > 8);
                 const auto config = benchConfig(size, m);
+                if (round == 0 && !simdIsasAgree(config, model)) {
+                    std::fprintf(stderr,
+                                 "simd %s sweep differs from scalar "
+                                 "at size %d, %d labels\n",
+                                 isa_name, size, m);
+                    return 1;
+                }
 
                 const long sites = static_cast<long>(size) * size;
                 const int sweeps = static_cast<int>(
@@ -386,49 +423,57 @@ main(int argc, char **argv)
                     r.simd_speedup, r.simd_vs_table);
     }
 
-    // Chromatic runtime: largest size x largest M, both fast paths
-    // across shard counts. On a 1-thread host this measures the
-    // determinism machinery's overhead, not parallel scaling — the
-    // metadata records hardware_concurrency for exactly this
-    // reason.
+    // Chromatic runtime: largest size at the smallest and the
+    // largest M, both fast paths across shard counts. On a 1-thread
+    // host this measures the determinism machinery's overhead, not
+    // parallel scaling — the metadata records hardware_concurrency
+    // for exactly this reason.
     const int par_size = *std::max_element(sizes.begin(),
                                            sizes.end());
-    const int par_m = *std::max_element(labels.begin(),
-                                        labels.end());
-    const BenchModel par_model(par_m > 8);
-    const auto par_config = benchConfig(par_size, par_m);
+    std::vector<int> par_labels = {
+        *std::min_element(labels.begin(), labels.end())};
+    if (*std::max_element(labels.begin(), labels.end()) !=
+        par_labels[0])
+        par_labels.push_back(
+            *std::max_element(labels.begin(), labels.end()));
     const long par_sites = static_cast<long>(par_size) * par_size;
     const int par_sweeps = static_cast<int>(
         std::max(1L, (budget + par_sites - 1) / par_sites));
 
-    std::printf("\nchromatic runtime, size %d, %d labels "
-                "(sites/sec, x 1 shard):\n"
-                "%8s %6s %14s %6s %14s %6s\n",
-                par_size, par_m, "shards", "sweeps", "table", "",
-                "simd", "");
     runtime::ThreadPool pool(0); // hardware concurrency
     std::vector<ParallelRow> parallel_rows;
-    double table_one = 0.0, simd_one = 0.0; // 1-shard rates
-    for (const int shards : {1, 2, 4, 8}) {
-        mrf::GridMrf table_mrf(par_config, par_model);
-        const double table_rate = measureChromatic(
-            table_mrf, pool, mrf::SweepPath::Table, shards,
-            par_sweeps);
-        mrf::GridMrf simd_mrf(par_config, par_model);
-        const double simd_rate = measureChromatic(
-            simd_mrf, pool, mrf::SweepPath::Simd, shards,
-            par_sweeps);
-        if (shards == 1) {
-            table_one = table_rate;
-            simd_one = simd_rate;
+    for (const int par_m : par_labels) {
+        const BenchModel par_model(par_m > 8);
+        const auto par_config = benchConfig(par_size, par_m);
+        std::printf("\nchromatic runtime, size %d, %d labels "
+                    "(sites/sec, x 1 shard):\n"
+                    "%8s %6s %14s %6s %14s %6s\n",
+                    par_size, par_m, "shards", "sweeps", "table", "",
+                    "simd", "");
+        double table_one = 0.0, simd_one = 0.0; // 1-shard rates
+        for (const int shards : {1, 2, 4, 8}) {
+            mrf::GridMrf table_mrf(par_config, par_model);
+            const double table_rate = measureChromatic(
+                table_mrf, pool, mrf::SweepPath::Table, shards,
+                par_sweeps);
+            mrf::GridMrf simd_mrf(par_config, par_model);
+            const double simd_rate = measureChromatic(
+                simd_mrf, pool, mrf::SweepPath::Simd, shards,
+                par_sweeps);
+            if (shards == 1) {
+                table_one = table_rate;
+                simd_one = simd_rate;
+            }
+            parallel_rows.push_back({par_m, "table", shards,
+                                     table_rate,
+                                     table_rate / table_one});
+            parallel_rows.push_back({par_m, "simd", shards, simd_rate,
+                                     simd_rate / simd_one});
+            std::printf("%8d %6d %14.0f %5.2fx %14.0f %5.2fx\n",
+                        shards, par_sweeps, table_rate,
+                        table_rate / table_one, simd_rate,
+                        simd_rate / simd_one);
         }
-        parallel_rows.push_back(
-            {"table", shards, table_rate, table_rate / table_one});
-        parallel_rows.push_back(
-            {"simd", shards, simd_rate, simd_rate / simd_one});
-        std::printf("%8d %6d %14.0f %5.2fx %14.0f %5.2fx\n", shards,
-                    par_sweeps, table_rate, table_rate / table_one,
-                    simd_rate, simd_rate / simd_one);
     }
 
     FILE *json = std::fopen("BENCH_fast_sweep.json", "w");
@@ -463,10 +508,11 @@ main(int argc, char **argv)
     for (size_t i = 0; i < parallel_rows.size(); ++i) {
         const ParallelRow &r = parallel_rows[i];
         std::fprintf(json,
-                     "    {\"path\": \"%s\", \"shards\": %d, "
-                     "\"sites_per_sec\": %.1f, "
+                     "    {\"labels\": %d, \"path\": \"%s\", "
+                     "\"shards\": %d, \"sites_per_sec\": %.1f, "
                      "\"vs_1_shard\": %.3f}%s\n",
-                     r.path, r.shards, r.sites_per_sec, r.vs_1_shard,
+                     r.labels, r.path, r.shards, r.sites_per_sec,
+                     r.vs_1_shard,
                      i + 1 < parallel_rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");

@@ -16,7 +16,9 @@
  * - The **Simd** path additionally converts the exp weights to Q32
  *   fixed point (core::FixedExpTable) and vectorizes the candidate
  *   dimension with a runtime-dispatched kernel (core/simd.h,
- *   mrf/simd_kernels.h). Because its weight accumulation and
+ *   mrf/simd_kernels.h) — at M = 2 with AVX2, the site dimension
+ *   instead, 8 same-colour sites per call. Because its weight
+ *   accumulation and
  *   prefix-sum selection are associative integer operations, the
  *   AVX2 and scalar kernels produce *identical* label fields for
  *   the same (seed, schedule, shard count) — self-deterministic

@@ -41,4 +41,14 @@ interiorSampleFor(rsu::core::SimdIsa isa)
     return &interiorSampleScalar;
 }
 
+PairSample8Fn
+pairSample8For(rsu::core::SimdIsa isa)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (isa == rsu::core::SimdIsa::Avx2)
+        return &pairSample8Avx2;
+#endif
+    return nullptr;
+}
+
 } // namespace rsu::mrf::detail

@@ -1,6 +1,8 @@
 /**
  * @file
- * Candidate-vectorized sampling kernels for the Simd sweep path.
+ * Sampling kernels for the Simd sweep path, in two forms: the
+ * candidate-vectorized per-site kernels below (every site, any M),
+ * and one site-parallel AVX2 kernel for M = 2 (pairSample8Avx2).
  *
  * An interior-site conditional is, per candidate i,
  *   e_i = singleton[i] + d[n0][i] + d[n1][i] + d[n2][i] + d[n3][i]
@@ -37,6 +39,19 @@
  * across all padded lanes equals the min across real ones; pad
  * weights are masked to zero (vector select) or never scanned
  * (scalar select), so they cannot be drawn.
+ *
+ * At M = 2 the per-site kernel fills only 2 of its 8 lanes, so
+ * SweepCore hands runs of same-colour interior sites to the
+ * site-parallel kernel instead: one lane per site, 8 sites x, x + 2,
+ * ..., x + 14 of one row per call, as the paper's GPU maps one pixel
+ * per SIMT lane. Same-colour sites never read each other's labels,
+ * so resampling 8 at once sees exactly what 8 sequential updates
+ * would. Each lane repeats the per-site kernel's integer arithmetic
+ * for its site (clamped sums, the site-minimum shift, the same Q32
+ * entries, selectCandidateFixed's 128-bit scaling) and consumes the
+ * next buffered variate in site order, so labels and RNG streams
+ * are bit-identical to running the per-site kernel on every site;
+ * the Scalar == AVX2 suites gate it unchanged.
  *
  * Internal header, included by the fast sweep (mrf/fast_sweep.h)
  * and the two kernel translation units (simd_kernels.cpp,
@@ -88,6 +103,37 @@ int interiorSampleAvx2(const uint8_t *s, const int32_t *d0,
 /** The kernel for @p isa (Avx2 falls back to scalar on non-x86
  * builds, where activeSimdIsa() never selects it). */
 InteriorSampleFn interiorSampleFor(rsu::core::SimdIsa isa);
+
+/**
+ * Sample the 8 same-colour interior sites x, x + 2, ..., x + 14 of
+ * one lattice row of an M = 2 model (padded rows of 8), one site
+ * per lane, and return a bit mask whose bit k is the candidate
+ * index drawn for site x + 2k with the raw variate @p draws[k].
+ * @p s is site x's padded singleton row (the others follow at
+ * 16-byte steps); @p labels points at site x's label in a lattice
+ * @p width labels wide, and every site's four neighbours must lie
+ * inside it (x >= 1, x + 15 < width, not the first or last row);
+ * @p doubleton is DoubletonTable::row(0), the start of its
+ * code-major rows; @p w_of_e is the 256-entry FixedExpTable data.
+ * Each lane repeats interiorSampleScalar's integer arithmetic for
+ * its site, so the mask equals 8 per-site calls drawn in site
+ * order.
+ */
+using PairSample8Fn = unsigned (*)(const uint8_t *s,
+                                   const uint8_t *labels, int width,
+                                   const int32_t *doubleton,
+                                   const uint32_t *w_of_e,
+                                   const uint64_t *draws);
+
+unsigned pairSample8Avx2(const uint8_t *s, const uint8_t *labels,
+                         int width, const int32_t *doubleton,
+                         const uint32_t *w_of_e,
+                         const uint64_t *draws);
+
+/** The site-parallel M = 2 kernel for @p isa, or nullptr where
+ * there is none (the Scalar ISA and non-x86 builds, which run the
+ * per-site kernel on every site). */
+PairSample8Fn pairSample8For(rsu::core::SimdIsa isa);
 
 /**
  * Draw a candidate index from @p m fixed-point weights with one

@@ -1,12 +1,18 @@
 /**
  * @file
- * AVX2 interior sampling kernel — the only translation unit built
- * with -mavx2 (see src/mrf/CMakeLists.txt), so AVX2 instructions
- * cannot leak into code that runs on narrower machines. The
- * function is reached exclusively through detail::interiorSampleFor
- * after core::activeSimdIsa() confirmed AVX2 support. On non-x86
- * targets interiorSampleFor never returns it and this file
+ * AVX2 sampling kernels — the only translation unit built with
+ * -mavx2 (see src/mrf/CMakeLists.txt), so AVX2 instructions cannot
+ * leak into code that runs on narrower machines. The functions are
+ * reached exclusively through detail::interiorSampleFor and
+ * detail::pairSample8For after core::activeSimdIsa() confirmed AVX2
+ * support. On non-x86 targets neither returns them and this file
  * compiles to nothing.
+ *
+ * pairSample8Avx2 puts one site in each lane (M = 2): 64-bit
+ * gathers fetch each neighbour's (candidate 0, candidate 1)
+ * doubleton pair, one 32-bit gather the singleton bytes, one more
+ * the non-top Q32 weight, and a scalar loop does the 8 draws. The
+ * rest of this comment is about the per-site kernel.
  *
  * Selection is branchless and register-resident: pad lanes are
  * masked to zero weight, the 8-lane blocks are widened to 64-bit
@@ -136,7 +142,121 @@ scaledDrawVec(uint64_t draw, __m256i hi)
         static_cast<long long>(scaleDraw(draw, total)));
 }
 
+/** The labels at @p p[0], p[2], ..., p[14] as int32 lanes. Byte
+ * loads: the odd bytes between them are same-colour sites another
+ * shard may be writing, so no wider load may touch them. */
+inline __m256i
+evenLabels(const uint8_t *p)
+{
+    uint64_t packed = 0;
+    for (int k = 0; k < 8; ++k)
+        packed |= static_cast<uint64_t>(p[2 * k]) << (8 * k);
+    return _mm256_cvtepu8_epi32(
+        _mm_cvtsi64_si128(static_cast<long long>(packed)));
+}
+
+/** Int32 offset of the doubleton row of each code lane (codes
+ * masked to 6 bits as DoubletonTable::row does, rows 8 wide). */
+inline __m256i
+rowOffsets(__m256i codes)
+{
+    return _mm256_slli_epi32(
+        _mm256_and_si256(codes, _mm256_set1_epi32(rsu::core::kLabelMask)),
+        3);
+}
+
+/** Add the (candidate 0, candidate 1) doubleton pair of each code
+ * lane to @p lo (lanes 0-3) and @p hi (lanes 4-7): one 64-bit
+ * gather fetches both entries of a row. */
+inline void
+addPairs(const int32_t *doubleton, __m256i offsets, __m256i &lo,
+         __m256i &hi)
+{
+    const auto *base = reinterpret_cast<const long long *>(doubleton);
+    lo = _mm256_add_epi32(
+        lo, _mm256_i32gather_epi64(base,
+                                   _mm256_castsi256_si128(offsets), 4));
+    hi = _mm256_add_epi32(
+        hi, _mm256_i32gather_epi64(
+                base, _mm256_extracti128_si256(offsets, 1), 4));
+}
+
 } // namespace
+
+unsigned
+pairSample8Avx2(const uint8_t *s, const uint8_t *labels, int width,
+                const int32_t *doubleton, const uint32_t *w_of_e,
+                const uint64_t *draws)
+{
+    // Neighbour codes of the 8 sites. In the sites' own row, W is
+    // every other byte from x - 1 and E every other byte from
+    // x + 1; the bytes between are the run's own sites, so two
+    // 16-byte loads (x - 1 .. x + 14 and x .. x + 15) are safe there.
+    const __m128i even = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, -1,
+                                       -1, -1, -1, -1, -1, -1, -1);
+    const __m128i odd = _mm_setr_epi8(1, 3, 5, 7, 9, 11, 13, 15, -1,
+                                      -1, -1, -1, -1, -1, -1, -1);
+    const __m128i west = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(labels - 1)),
+        even);
+    const __m128i east = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(labels)),
+        odd);
+    __m256i lo = _mm256_setzero_si256();
+    __m256i hi = _mm256_setzero_si256();
+    addPairs(doubleton, rowOffsets(evenLabels(labels - width)), lo, hi);
+    addPairs(doubleton, rowOffsets(evenLabels(labels + width)), lo, hi);
+    addPairs(doubleton, rowOffsets(_mm256_cvtepu8_epi32(west)), lo, hi);
+    addPairs(doubleton, rowOffsets(_mm256_cvtepu8_epi32(east)), lo, hi);
+    // De-interleave the (d0, d1) pairs into one vector per
+    // candidate, sites in lane order.
+    const __m256i split = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+    lo = _mm256_permutevar8x32_epi32(lo, split);
+    hi = _mm256_permutevar8x32_epi32(hi, split);
+
+    // Singleton bytes 0 and 1 of each site's row, 16 bytes apart.
+    const __m256i sv = _mm256_i32gather_epi32(
+        reinterpret_cast<const int *>(s),
+        _mm256_setr_epi32(0, 16, 32, 48, 64, 80, 96, 112), 1);
+    const __m256i byte = _mm256_set1_epi32(0xff);
+    const __m256i emax = _mm256_set1_epi32(rsu::core::kEnergyMax);
+    const __m256i e0 = _mm256_min_epi32(
+        _mm256_add_epi32(_mm256_and_si256(sv, byte),
+                         _mm256_permute2x128_si256(lo, hi, 0x20)),
+        emax);
+    const __m256i e1 = _mm256_min_epi32(
+        _mm256_add_epi32(_mm256_and_si256(_mm256_srli_epi32(sv, 8), byte),
+                         _mm256_permute2x128_si256(lo, hi, 0x31)),
+        emax);
+
+    // After the site-minimum shift one candidate sits at energy 0
+    // (weight w_of_e[0]) and the other at |e0 - e1|: the two table
+    // entries the per-site kernel looks up for its real lanes (its
+    // pad lanes never enter an M = 2 draw).
+    const __m256i top = _mm256_set1_epi32(static_cast<int>(w_of_e[0]));
+    const __m256i low = _mm256_i32gather_epi32(
+        reinterpret_cast<const int *>(w_of_e),
+        _mm256_sub_epi32(_mm256_max_epi32(e0, e1),
+                         _mm256_min_epi32(e0, e1)),
+        4);
+    const __m256i first_higher = _mm256_cmpgt_epi32(e0, e1);
+    alignas(32) uint32_t w0[8];
+    alignas(32) uint32_t w1[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(w0),
+                       _mm256_blendv_epi8(top, low, first_higher));
+    _mm256_store_si256(reinterpret_cast<__m256i *>(w1),
+                       _mm256_blendv_epi8(low, top, first_higher));
+
+    // selectCandidateFixed per site: candidate 1 iff the scaled
+    // draw is past candidate 0's weight.
+    unsigned picks = 0;
+    for (int k = 0; k < 8; ++k) {
+        const uint64_t u = scaleDraw(
+            draws[k], static_cast<uint64_t>(w0[k]) + w1[k]);
+        picks |= static_cast<unsigned>(u >= w0[k]) << k;
+    }
+    return picks;
+}
 
 int
 interiorSampleAvx2(const uint8_t *s, const int32_t *d0,

@@ -22,6 +22,7 @@ SweepCore::SweepCore(GridMrf &mrf,
             throw std::invalid_argument(
                 "SweepCore: table set does not match the model");
         rebuildExpTables();
+        setSimdIsa(rsu::core::activeSimdIsa());
     }
     for (std::size_t c = 0; c < chains_.size(); ++c)
         chains_[c].rng = streams[c];

@@ -31,10 +31,12 @@
  * interior from border sites: interior sites load the four rows
  * directly, with no per-site bounds check, and border sites (first
  * and last row, first and last column) substitute DoubletonTable's
- * zero row for a missing neighbour. Drivers and kernels are template
- * callables, so every per-site call inlines (the Simd body in
- * particular loses ~3x when its table loads cannot be hoisted out of
- * the row loop).
+ * zero row for a missing neighbour. On the Simd path at M = 2 with
+ * AVX2, step-2 interior runs go 8 sites per site-parallel kernel
+ * call (simdUpdate8), with the same labels and draws as 8 site
+ * updates. Drivers and kernels are template callables, so every
+ * per-site call inlines (the Simd body in particular loses ~3x when
+ * its table loads cannot be hoisted out of the row loop).
  */
 
 #ifndef RSU_MRF_SWEEP_CORE_H
@@ -126,8 +128,8 @@ class SweepCore
         if (temperature_version_ != mrf_.temperatureVersion())
             rebuildExpTables();
         if (path_ == SweepPath::Simd)
-            return driveRows<&SweepCore::simdUpdate>(drive);
-        return driveRows<&SweepCore::tableUpdate>(drive);
+            return driveRows<&SweepCore::simdUpdate, true>(drive);
+        return driveRows<&SweepCore::tableUpdate, false>(drive);
     }
 
     /** One sweep of chain 0 over every site in @p schedule order. */
@@ -140,12 +142,16 @@ class SweepCore
      * every unit's intensity map for it (section 6.1). */
     void setTemperature(double t);
 
-    /** Select the Simd kernel's ISA. Either choice produces
-     * identical labels; call between sweeps. */
+    /** Select the Simd kernels' ISA. Either choice produces
+     * identical labels; call between sweeps. AVX2 on an M = 2 model
+     * adds the site-parallel kernel for interior same-colour runs. */
     void
     setSimdIsa(rsu::core::SimdIsa isa)
     {
         simd_fn_ = detail::interiorSampleFor(isa);
+        pair8_fn_ = table_set_ && table_set_->numLabels() == 2
+                        ? detail::pairSample8For(isa)
+                        : nullptr;
     }
 
     /** Inject plan.faultsFor(c, width) into chain c's unit (no-op on
@@ -205,9 +211,11 @@ class SweepCore
      * body of the path, where d0..d3 are the doubleton rows of the
      * N, S, W and E neighbours. Border sites read the zero row for
      * each missing neighbour; the interior sites between them load
-     * the four rows directly.
+     * the four rows directly. With @p SiteParallel (the Simd path),
+     * same-colour interior runs go through simdUpdate8 8 sites at a
+     * time where the chain's ISA and M have a site-parallel kernel.
      */
-    template <auto Update, typename Driver>
+    template <auto Update, bool SiteParallel, typename Driver>
     auto
     driveRows(Driver &drive)
     {
@@ -235,8 +243,13 @@ class SweepCore
                 border(0);
                 x = step;
             }
-            for (const int last = end < w - 1 ? end : w - 1; x < last;
-                 x += step) {
+            const int last = end < w - 1 ? end : w - 1;
+            if constexpr (SiteParallel) {
+                if (step == 2 && pair8_fn_)
+                    for (; x + 14 < last; x += 16)
+                        simdUpdate8(ch, x, y);
+            }
+            for (; x < last; x += step) {
                 const int site = y * w + x;
                 (this->*Update)(ch, x, y, dt.row(labels[site - w]),
                                 dt.row(labels[site + w]),
@@ -318,17 +331,43 @@ class SweepCore
         mrf_.setLabel(x, y, set.codes()[choice]);
     }
 
+    /**
+     * Simd-path update of the 8 interior sites x, x + 2, ..., x + 14
+     * of row y on an M = 2 model: one site-parallel kernel call
+     * (detail::pairSample8Avx2) that draws site x + 2k from the k-th
+     * of 8 consecutive buffered variates. Labels, stream consumption
+     * and work counts equal those of 8 simdUpdate calls in site
+     * order: same-colour sites never read each other, so drawing
+     * them together changes nothing they see.
+     */
+    void
+    simdUpdate8(SweepChain &ch, int x, int y)
+    {
+        const SweepTableSet &set = *table_set_;
+        const int site = y * set.width() + x;
+        uint64_t draws[8];
+        ch.block.next(ch.rng, draws, 8);
+        const unsigned picks = pair8_fn_(
+            set.singleton().row(site), mrf_.labels().data() + site,
+            set.width(), set.doubleton().row(0), fixed_exp_.data(),
+            draws);
+        const Label codes[2] = {set.codes()[0], set.codes()[1]};
+        for (int k = 0; k < 8; ++k)
+            mrf_.setLabel(x + 2 * k, y, codes[(picks >> k) & 1]);
+        countSoftwareUpdate(ch.work, 2, 8);
+    }
+
     /** Logical baseline costs of one software site update: the
      * timing models charge the m conditional-energy computations and
      * m transcendentals the site *represents*, not the loads that
      * realized them. */
     static void
-    countSoftwareUpdate(SamplerWork &work, int m)
+    countSoftwareUpdate(SamplerWork &work, int m, int sites = 1)
     {
-        work.energy_evals += m;
-        work.exp_calls += m;
-        ++work.random_draws;
-        ++work.site_updates;
+        work.energy_evals += m * sites;
+        work.exp_calls += m * sites;
+        work.random_draws += sites;
+        work.site_updates += sites;
     }
 
     void rebuildExpTables();
@@ -345,8 +384,8 @@ class SweepCore
     uint64_t temperature_version_ = 0; // model's at last rebuild
     rsu::core::ExpTable exp_;            // Table weights
     rsu::core::FixedExpTable fixed_exp_; // Simd weights
-    detail::InteriorSampleFn simd_fn_ =
-        detail::interiorSampleFor(rsu::core::activeSimdIsa());
+    detail::InteriorSampleFn simd_fn_ = nullptr; // see setSimdIsa
+    detail::PairSample8Fn pair8_fn_ = nullptr;
     // Device chains:
     std::unique_ptr<rsu::core::Data2Table> data2_;
 };

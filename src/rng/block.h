@@ -16,6 +16,7 @@
 #ifndef RSU_RNG_BLOCK_H
 #define RSU_RNG_BLOCK_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,11 +40,25 @@ class BlockRng
     next(Xoshiro256 &rng)
     {
         if (pos_ == static_cast<int>(buffer_.size())) {
-            for (auto &v : buffer_)
-                v = rng();
+            rng.fill(buffer_.data(), buffer_.size());
             pos_ = 0;
         }
         return buffer_[pos_++];
+    }
+
+    /** The next @p n values of @p rng's stream into @p out: the same
+     * values as @p n calls of next(), copied in one piece when the
+     * buffer holds them all. */
+    void
+    next(Xoshiro256 &rng, uint64_t *out, int n)
+    {
+        if (pos_ + n <= static_cast<int>(buffer_.size())) {
+            std::copy_n(buffer_.data() + pos_, n, out);
+            pos_ += n;
+            return;
+        }
+        for (int i = 0; i < n; ++i)
+            out[i] = next(rng);
     }
 
   private:

@@ -37,6 +37,15 @@ Xoshiro256::operator()()
     return result;
 }
 
+void
+Xoshiro256::fill(result_type *out, std::size_t n)
+{
+    Xoshiro256 local = *this;
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = local();
+    *this = local;
+}
+
 double
 Xoshiro256::uniform()
 {

@@ -14,6 +14,7 @@
 #define RSU_RNG_XOSHIRO256_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -37,6 +38,11 @@ class Xoshiro256
 
     /** Next raw 64-bit output. */
     result_type operator()();
+
+    /** The next @p n raw outputs into @p out, in order: the same
+     * values as @p n calls of operator(), generated with the state
+     * held in registers. */
+    void fill(result_type *out, std::size_t n);
 
     /**
      * Uniform double in [0, 1) with 53 bits of precision.

@@ -159,7 +159,8 @@ InferenceEngine::tableCacheStats() const
 std::shared_ptr<const rsu::mrf::SweepTableSet>
 InferenceEngine::acquireTableSet(const rsu::mrf::GridMrf &mrf,
                                  const InferenceJob &job,
-                                 InferenceResult &result)
+                                 InferenceResult &result,
+                                 int64_t &ml_energy)
 {
     TableCacheKey key;
     key.singleton = job.singleton.get();
@@ -180,6 +181,7 @@ InferenceEngine::acquireTableSet(const rsu::mrf::GridMrf &mrf,
                 table_cache_.push_back(std::move(entry));
                 ++table_hits_;
                 result.table_cache_hit = true;
+                ml_energy = table_cache_.back().ml_energy;
                 return table_cache_.back().set;
             }
         }
@@ -194,6 +196,9 @@ InferenceEngine::acquireTableSet(const rsu::mrf::GridMrf &mrf,
     const std::chrono::duration<double> built =
         std::chrono::steady_clock::now() - start;
     result.table_build_seconds = built.count();
+    rsu::mrf::GridMrf ml_start(mrf.config(), *job.singleton);
+    ml_start.initializeMaximumLikelihood(set->singleton());
+    ml_energy = ml_start.totalEnergy(parallelRowRunner(pool_));
 
     std::lock_guard<std::mutex> lock(table_mutex_);
     // A racing job may have inserted this model while we built;
@@ -203,7 +208,8 @@ InferenceEngine::acquireTableSet(const rsu::mrf::GridMrf &mrf,
         table_cache_.begin(), table_cache_.end(),
         [&](const TableCacheEntry &entry) { return entry.key == key; });
     if (!present) {
-        table_cache_.push_back({std::move(key), job.singleton, set});
+        table_cache_.push_back(
+            {std::move(key), job.singleton, set, ml_energy});
         if (static_cast<int>(table_cache_.size()) > kTableCacheCapacity)
             table_cache_.erase(table_cache_.begin());
     }
@@ -298,23 +304,28 @@ InferenceEngine::execute(QueuedJob &queued)
 
     rsu::mrf::GridMrf mrf(job.config, *job.singleton);
 
+    // Energy scans fan their rows out over the pool: serially, one
+    // costs about as much as a parallel sweep.
+    const auto rows = parallelRowRunner(pool_);
+
     // Table-backed paths: fetch or build the model's static tables
     // first, so the ML initialization below can reuse the singleton
-    // scan instead of re-evaluating the model.
+    // scan instead of re-evaluating the model, and the start's
+    // energy comes with them.
     std::shared_ptr<const rsu::mrf::SweepTableSet> table_set;
     if (job.sampler == SamplerKind::SoftwareGibbs &&
         job.sweep_path != rsu::mrf::SweepPath::Reference)
-        table_set = acquireTableSet(mrf, job, result);
+        table_set =
+            acquireTableSet(mrf, job, result, result.initial_energy);
 
-    if (table_set)
+    if (table_set) {
         mrf.initializeMaximumLikelihood(table_set->singleton());
-    else
+    } else {
         mrf.initializeMaximumLikelihood();
+        result.initial_energy = mrf.totalEnergy(rows);
+    }
 
     ParallelSweepExecutor executor(pool_, job.shards);
-    // Energy scans between sweeps fan their rows out over the pool
-    // too: serially, one costs about as much as a parallel sweep.
-    const auto rows = parallelRowRunner(pool_);
     auto sampler = std::make_unique<ChromaticGibbsSampler>(
         mrf, executor, job.seed, job.sampler, job.rsu_base,
         job.sweep_path, table_set);
@@ -322,7 +333,6 @@ InferenceEngine::execute(QueuedJob &queued)
         sampler->injectFaults(*job.faults);
 
     result.shards = executor.shards();
-    result.initial_energy = mrf.totalEnergy(rows);
 
     // Device-failure reaction: swap the failed RSU sampler for a
     // software Table sampler over the same model/executor, keeping
@@ -335,8 +345,9 @@ InferenceEngine::execute(QueuedJob &queued)
             return;
         result.device_stats = sampler->deviceStats();
         result.work = sampler->work();
+        int64_t ml_energy = 0; // unused: initial_energy is set
         if (!table_set)
-            table_set = acquireTableSet(mrf, job, result);
+            table_set = acquireTableSet(mrf, job, result, ml_energy);
         sampler = std::make_unique<ChromaticGibbsSampler>(
             mrf, executor, job.seed, SamplerKind::SoftwareGibbs,
             job.rsu_base, rsu::mrf::SweepPath::Table, table_set);

@@ -403,6 +403,9 @@ class InferenceEngine
          * sound. */
         std::shared_ptr<const rsu::mrf::SingletonModel> model;
         std::shared_ptr<const rsu::mrf::SweepTableSet> set;
+        /** Energy of the model's ML labelling, every job's start:
+         * it depends only on the key, so hits skip that scan. */
+        int64_t ml_energy = 0;
     };
 
     void dispatcherLoop();
@@ -414,15 +417,18 @@ class InferenceEngine
 
     /**
      * The cached set for @p mrf's model, building (parallel row
-     * scan) and inserting on a miss. Sets @p result's
-     * table_build_seconds / table_cache_hit. Concurrent jobs on one
-     * new model may race to build — both sets are identical, the
-     * loser's is dropped; the build itself runs outside the cache
-     * lock so jobs on other models are never stalled behind it.
+     * scan) and inserting on a miss, and in @p ml_energy the energy
+     * of the model's ML labelling (scanned on a scratch lattice on
+     * a miss). Sets @p result's table_build_seconds /
+     * table_cache_hit. Concurrent jobs on one new model may race to
+     * build — both sets are identical, the loser's is dropped; the
+     * build itself runs outside the cache lock so jobs on other
+     * models are never stalled behind it.
      */
     std::shared_ptr<const rsu::mrf::SweepTableSet>
     acquireTableSet(const rsu::mrf::GridMrf &mrf,
-                    const InferenceJob &job, InferenceResult &result);
+                    const InferenceJob &job, InferenceResult &result,
+                    int64_t &ml_energy);
 
     Options options_;
     ThreadPool pool_;

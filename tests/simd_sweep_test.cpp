@@ -69,19 +69,23 @@ struct Problem
     rsu::vision::SegmentationModel model;
     MrfConfig config;
 
-    Problem(int width, int height, int labels, uint64_t seed)
-        : scene(makeScene(width, height, labels, seed)),
+    /** @p noise is the scene's pixel noise sigma: at the default
+     * temperature a low-noise scene barely leaves its ML start. */
+    Problem(int width, int height, int labels, uint64_t seed,
+            double noise = 3.0)
+        : scene(makeScene(width, height, labels, seed, noise)),
           model(scene.image, scene.region_means),
           config(rsu::vision::segmentationConfig(scene.image, labels))
     {
     }
 
     static rsu::vision::SegmentationScene
-    makeScene(int width, int height, int labels, uint64_t seed)
+    makeScene(int width, int height, int labels, uint64_t seed,
+              double noise)
     {
         rsu::rng::Xoshiro256 rng(seed);
         return rsu::vision::makeSegmentationScene(width, height,
-                                                  labels, 3.0, rng);
+                                                  labels, noise, rng);
     }
 
     /** Non-owning view for job submission; the Problem outlives
@@ -228,6 +232,30 @@ TEST(BlockRngTest, BufferedSequenceIdenticalToDirect)
             ASSERT_EQ(block.next(buffered), direct())
                 << "capacity=" << capacity << " i=" << i;
     }
+}
+
+TEST(BlockRngTest, BulkDrawsIdenticalToSingleDraws)
+{
+    // The site-parallel kernel takes its 8 variates in one call,
+    // straddling refills whenever the buffer holds fewer than 8.
+    for (const int capacity : {1, 7, 8, 256}) {
+        rsu::rng::Xoshiro256 direct(93), buffered(93);
+        rsu::rng::BlockRng block(capacity);
+        uint64_t out[8];
+        for (int i = 0; i < 300; ++i) {
+            const int n = 1 + i % 8;
+            block.next(buffered, out, n);
+            for (int k = 0; k < n; ++k)
+                ASSERT_EQ(out[k], direct())
+                    << "capacity=" << capacity << " i=" << i;
+        }
+    }
+    rsu::rng::Xoshiro256 direct(95), filled(95);
+    std::vector<uint64_t> values(37);
+    filled.fill(values.data(), values.size());
+    for (const uint64_t v : values)
+        ASSERT_EQ(v, direct());
+    EXPECT_EQ(filled(), direct()); // the state advanced alike
 }
 
 TEST(FixedExpTableTest, QuantizesExpWithUnitFloor)
@@ -524,6 +552,131 @@ TEST(SimdOracle, CheckerboardSweepMatchesIndependentReplay)
                 }
             }
         }
+}
+
+/** The ML start of @p p, the labelling every run here begins from. */
+std::vector<Label>
+mlStart(const Problem &p)
+{
+    GridMrf mrf(p.config, p.model);
+    mrf.initializeMaximumLikelihood();
+    return mrf.labels();
+}
+
+/**
+ * Widths at M = 2 that give the site-parallel kernel (8 interior
+ * same-colour sites per call) 0, 1, 2 and 4 calls per row, and
+ * every per-site remainder length 0-7 after them: a run's interior
+ * part covers its colour's sites in [1, width - 2], i.e.
+ * (width - 1) / 2 sites from x = 1 and (width - 2) / 2 from x = 2.
+ */
+constexpr int kPairWidths[] = {15, 16, 17, 18, 20, 22, 28, 33, 40, 41, 67};
+
+/** Pixel noise that leaves enough ambiguous sites for an M = 2
+ * chain to move at the scene's own temperature. */
+constexpr double kNoisy = 12.0;
+
+TEST(SimdSiteParallel, SequentialAcrossWidthsAndTemperatures)
+{
+    const SimdIsa widest = rsu::core::activeSimdIsa();
+    for (const int w : kPairWidths) {
+        Problem p(w, 9, 2, 89, kNoisy);
+        const double cold = p.config.temperature;
+        for (const double t : {cold, 4.0 * cold}) {
+            p.config.temperature = t;
+            const auto start = mlStart(p);
+            for (const Schedule schedule :
+                 {Schedule::Checkerboard, Schedule::Raster}) {
+                const auto scalar = runSimdSequential(
+                    p, 13, schedule, SimdIsa::Scalar, 6);
+                const auto vector =
+                    runSimdSequential(p, 13, schedule, widest, 6);
+                ASSERT_EQ(scalar, vector)
+                    << w << "x9 T=" << t << " raster="
+                    << (schedule == Schedule::Raster);
+                // A chain frozen at its start would pass the
+                // identity above with any kernel.
+                EXPECT_NE(vector, start) << w << "x9 T=" << t;
+            }
+        }
+    }
+}
+
+TEST(SimdSiteParallel, ChromaticAcrossWidthsShardsAndPools)
+{
+    const SimdIsa widest = rsu::core::activeSimdIsa();
+    for (const int w : kPairWidths) {
+        Problem p(w, 9, 2, 97, kNoisy);
+        const double cold = p.config.temperature;
+        for (const double t : {cold, 4.0 * cold}) {
+            p.config.temperature = t;
+            const auto start = mlStart(p);
+            for (const int shards : {1, 2, 4, 8}) {
+                const auto scalar = runSimdChromatic(
+                    p, 41, shards, 2, SimdIsa::Scalar, 4);
+                const auto vector =
+                    runSimdChromatic(p, 41, shards, 3, widest, 4);
+                ASSERT_EQ(scalar, vector)
+                    << w << "x9 T=" << t << " shards=" << shards;
+                EXPECT_NE(vector, start)
+                    << w << "x9 T=" << t << " shards=" << shards;
+            }
+        }
+    }
+}
+
+TEST(SimdOracle, SiteParallelRowsMatchIndependentReplay)
+{
+    // 41 wide: runs starting at x = 1 take two 8-site calls, runs
+    // starting at x = 2 one call plus a 7-site per-site remainder.
+    const SimdIsa widest = rsu::core::activeSimdIsa();
+    Problem p(41, 9, 2, 73, kNoisy);
+    const double cold = p.config.temperature;
+    for (const double t : {cold, 4.0 * cold}) {
+        p.config.temperature = t;
+        GridMrf start(p.config, p.model);
+        start.initializeMaximumLikelihood();
+        const auto expected = replaySimdCheckerboardSweep(start, 31);
+        EXPECT_NE(expected, start.labels()) << "T=" << t;
+        for (const SimdIsa isa : {SimdIsa::Scalar, widest}) {
+            GridMrf mrf(p.config, p.model);
+            mrf.initializeMaximumLikelihood();
+            GibbsSampler sampler(mrf, 31, Schedule::Checkerboard,
+                                 SweepPath::Simd);
+            sampler.setSimdIsa(isa);
+            sampler.sweep();
+            ASSERT_EQ(mrf.labels(), expected)
+                << "T=" << t
+                << " isa=" << rsu::core::simdIsaName(isa);
+        }
+    }
+}
+
+TEST(SimdWorkCounters, SiteParallelCountsMatchReference)
+{
+    // M = 2 on a lattice wide enough that most interior sites go
+    // through the site-parallel kernel: it must count 8 updates per
+    // call, exactly as the per-site path does.
+    Problem p(67, 13, 2, 79, kNoisy);
+    GridMrf ref_mrf(p.config, p.model);
+    ref_mrf.initializeMaximumLikelihood();
+    GibbsSampler reference(ref_mrf, 7);
+    reference.run(3);
+
+    GridMrf simd_mrf(p.config, p.model);
+    simd_mrf.initializeMaximumLikelihood();
+    GibbsSampler simd(simd_mrf, 7, Schedule::Checkerboard,
+                      SweepPath::Simd);
+    simd.run(3);
+    EXPECT_NE(simd_mrf.labels(), mlStart(p));
+
+    EXPECT_EQ(reference.work().site_updates,
+              simd.work().site_updates);
+    EXPECT_EQ(reference.work().energy_evals,
+              simd.work().energy_evals);
+    EXPECT_EQ(reference.work().exp_calls, simd.work().exp_calls);
+    EXPECT_EQ(reference.work().random_draws,
+              simd.work().random_draws);
 }
 
 TEST(SimdWorkCounters, LogicalCostsMatchReference)

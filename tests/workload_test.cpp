@@ -193,6 +193,30 @@ TEST(WorkloadEngineContract, RepeatSubmissionHitsTableCache)
     EXPECT_GE(stats.entries, 1);
 }
 
+TEST(EngineTableCache, HitAndMissJobsReportTheMlStartEnergy)
+{
+    // The cache keeps each model's ML start energy beside its
+    // tables: a hit must report what a miss scanned, and both what
+    // the start labelling's energy actually is.
+    rsu::runtime::EngineOptions engine_options;
+    engine_options.max_concurrent_jobs = 1; // serialize: hit is sure
+    InferenceEngine engine(engine_options);
+    const auto &registry = WorkloadRegistry::builtin();
+    for (const auto &name : registry.names()) {
+        const auto problem = registry.make(name, smallScene());
+        const auto job = makeJob(problem, shortRun(2));
+        const auto miss = engine.submit(job).get();
+        const auto hit = engine.submit(job).get();
+        ASSERT_FALSE(miss.table_cache_hit) << name;
+        ASSERT_TRUE(hit.table_cache_hit) << name;
+        rsu::mrf::GridMrf start(problem.config, *problem.singleton);
+        start.initializeMaximumLikelihood();
+        EXPECT_EQ(miss.initial_energy, start.totalEnergy()) << name;
+        EXPECT_EQ(hit.initial_energy, start.totalEnergy()) << name;
+        EXPECT_EQ(hit.labels, miss.labels) << name;
+    }
+}
+
 TEST(WorkloadQuality, MetricsCarryNameDirectionAndRange)
 {
     InferenceEngine engine;

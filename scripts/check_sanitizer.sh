@@ -40,7 +40,7 @@ cmake -B "${BUILD_DIR}" -S "${SOURCE_DIR}" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=${SANITIZE}"
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
     --target mrf_test runtime_test robustness_test fast_sweep_test simd_sweep_test \
-    workload_test extensions_test integration_test
+    workload_test extensions_test integration_test sampler_work_test
 
 # Only the labelled (mrf + runtime + sweep) tests: the sampler
 # kernels, the lookup tables, and every wrapper of the sweep core

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "mrf/rsu_gibbs.h"
-
 namespace rsu::arch {
 
 namespace {
@@ -37,18 +35,13 @@ busyCycles(const rsu::core::RsuG &unit)
 AcceleratorSim::AcceleratorSim(rsu::mrf::GridMrf &mrf,
                                const AcceleratorSimConfig &config)
     : mrf_(mrf), config_(config),
-      core_(mrf,
-            rsu::mrf::RsuGibbsSampler::unitConfigFor(mrf, config.unit),
-            unitSeeds(config))
+      core_(mrf, config.unit, unitSeeds(config))
 {
     // Paper section 8.2 byte accounting: 1 B observed data + 4 B
-    // neighbour labels, plus one byte per candidate when data2
-    // varies per label (e.g. motion's 49 destination pixels).
+    // neighbour labels, plus one data2 byte per candidate (e.g.
+    // motion's 49 destination pixels) when there is a choice.
     bytes_per_site_ =
-        5 + (mrf_.singleton().data2PerLabel() &&
-                     mrf_.numLabels() > 1
-                 ? mrf_.numLabels()
-                 : 0);
+        5 + (mrf_.numLabels() > 1 ? mrf_.numLabels() : 0);
 }
 
 AcceleratorIterationStats

@@ -82,6 +82,9 @@ class AcceleratorSim
 
     int numUnits() const { return core_.chains(); }
 
+    /** Work of every unit's site updates (SweepCore::work()). */
+    rsu::mrf::SamplerWork work() const { return core_.work(); }
+
     /** Unit @p i (throws std::out_of_range for a bad index). */
     rsu::core::RsuG &unit(int i) { return core_.unit(i); }
 

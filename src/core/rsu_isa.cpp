@@ -1,6 +1,7 @@
 #include "core/rsu_isa.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -103,7 +104,7 @@ RsuDevice::readResult()
     // Expand the staged data2 stream to one value per candidate:
     // missing entries reuse the last written value; an empty stream
     // falls back to SINGLETON_A's counterpart semantics (data2 = 0).
-    std::vector<uint8_t> data2(m, 0);
+    std::array<uint8_t, kMaxLabels> data2{};
     if (!data2_fifo_.empty()) {
         for (int i = 0; i < m; ++i) {
             const size_t idx = std::min(

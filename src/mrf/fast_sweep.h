@@ -46,11 +46,11 @@
  * updates. A set is immutable during sweeps and may be read by any
  * number of runtime shards concurrently.
  *
- * SamplerWork counters record the *logical* baseline costs (m
- * energy evaluations and m exp calls per site) even though the fast
- * paths replace them with loads: the architecture models cost the
- * paper's straightforward-MCMC baseline, and that workload is
- * unchanged — only our software realization of it got faster.
+ * A software Gibbs sampler's SamplerWork is the *logical* baseline
+ * work of its site updates (m energy evaluations and m exp calls per
+ * site), even though the fast paths replace them with loads:
+ * SweepCore keeps one site count per chain and derives every field
+ * on read.
  */
 
 #ifndef RSU_MRF_FAST_SWEEP_H
@@ -64,11 +64,11 @@
 
 namespace rsu::mrf {
 
-/** Work performed by a sampler (inputs to the timing models).
- * Counts are *logical* baseline operations: the table-driven fast
- * path reports the same energy_evals/exp_calls as the reference
- * path it bit-matches, so the architecture cost models see one
- * workload regardless of which software realization ran. */
+/** Work performed by a sampler, in *logical* baseline operations:
+ * every Gibbs path reports the Reference path's counts, derived
+ * from its site count (SweepCore::work()). Outside tests only
+ * site_updates is read (perfbench's sites_per_s, runtime_server);
+ * ICM and Metropolis count their own operations. */
 struct SamplerWork
 {
     uint64_t site_updates = 0;

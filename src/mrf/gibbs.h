@@ -8,9 +8,8 @@
  * distribution with a linear CDF scan — the straightforward C/CUDA
  * inner loop of a standard MCMC solver (paper section 8.1).
  *
- * Work counters record exactly how many energy evaluations, exp()
- * calls and random draws a sweep performs; the architecture models
- * consume these to cost the baseline implementations.
+ * work() reports the logical operations of those updates, derived
+ * from the chain's site count (see SweepCore::work()).
  */
 
 #ifndef RSU_MRF_GIBBS_H
@@ -80,7 +79,7 @@ class GibbsSampler
     /** The sweep core: its tables, exp tables and chain. */
     const SweepCore &core() const { return core_; }
 
-    const SamplerWork &work() const { return core_.chain(0).work; }
+    SamplerWork work() const { return core_.work(); }
 
   private:
     Schedule schedule_;

@@ -156,7 +156,10 @@ EnergyInputs
 GridMrf::referencedInputsAt(int x, int y) const
 {
     EnergyInputs in = inputsAt(x, y);
-    in.energy_offset = conditionalEnergy(x, y, label(x, y));
+    const Label l = label(x, y);
+    in.data2 = singleton_.data2(x, y, l);
+    in.energy_offset = energy_unit_.evaluate(l, in);
+    in.data2 = 0;
     return in;
 }
 

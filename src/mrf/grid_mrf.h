@@ -54,12 +54,6 @@ class SingletonModel
 
     /** Second data input for pixel (x, y) and candidate @p label. */
     virtual uint8_t data2(int x, int y, Label label) const = 0;
-
-    /**
-     * True when data2 varies with the label; constant-data2
-     * applications let implementations skip per-label transfers.
-     */
-    virtual bool data2PerLabel() const { return true; }
 };
 
 /** Static model parameters. */

@@ -33,30 +33,15 @@ RsuGibbsSampler::updateSite(int x, int y)
     const EnergyInputs in = mrf_.referencedInputsAt(x, y);
     const uint8_t *data2 = core_.data2().row(mrf_.index(x, y));
 
-    Label l;
-    {
-        device_.write(RsuReg::Neighbors,
-                      packNeighbors(in.neighbors, in.neighbor_valid));
-        device_.write(RsuReg::SingletonA, in.data1);
-        device_.write(RsuReg::EnergyOffset, in.energy_offset);
-        if (mrf_.singleton().data2PerLabel()) {
-            for (int base = 0; base < m; base += 8) {
-                const int count = std::min(8, m - base);
-                device_.write(RsuReg::SingletonD,
-                              packSingletonD(&data2[base], count));
-            }
-        } else {
-            device_.write(RsuReg::SingletonD,
-                          packSingletonD(&data2[0], 1));
-        }
-        l = device_.readResult().label;
-    }
-
-    SamplerWork &work = core_.chain(0).work;
-    work.energy_evals += m;
-    ++work.random_draws;
-    ++work.site_updates;
-
+    device_.write(RsuReg::Neighbors,
+                  packNeighbors(in.neighbors, in.neighbor_valid));
+    device_.write(RsuReg::SingletonA, in.data1);
+    device_.write(RsuReg::EnergyOffset, in.energy_offset);
+    for (int base = 0; base < m; base += 8)
+        device_.write(RsuReg::SingletonD,
+                      packSingletonD(&data2[base], std::min(8, m - base)));
+    const Label l = device_.readResult().label;
+    ++core_.chain(0).work;
     mrf_.setLabel(x, y, l);
     return l;
 }

@@ -84,7 +84,7 @@ class RsuGibbsSampler
      */
     void setTemperature(double t) { core_.setTemperature(t); }
 
-    const SamplerWork &work() const { return core_.chain(0).work; }
+    SamplerWork work() const { return core_.work(); }
     rsu::core::RsuG &unit() { return core_.unit(0); }
 
   private:

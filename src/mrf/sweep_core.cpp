@@ -34,9 +34,11 @@ SweepCore::SweepCore(GridMrf &mrf, const rsu::core::RsuGConfig &config,
       data2_(std::make_unique<rsu::core::Data2Table>(
           mrf.buildData2Table()))
 {
+    rsu::core::RsuGConfig matched = config;
+    matched.energy = mrf.config().energy;
     for (std::size_t c = 0; c < seeds.size(); ++c) {
         owned_units_.push_back(
-            std::make_unique<rsu::core::RsuG>(config, seeds[c]));
+            std::make_unique<rsu::core::RsuG>(matched, seeds[c]));
         chains_[c].unit = owned_units_.back().get();
     }
     setUpUnits();
@@ -90,7 +92,6 @@ SweepCore::referenceUpdate(SweepChain &chain, int x, int y)
     }
     const int choice =
         rsu::rng::sampleDiscreteLinear(chain.rng, weights, m);
-    countSoftwareUpdate(chain.work, m);
     mrf_.setLabel(x, y, mrf_.codeOf(choice));
 }
 
@@ -100,9 +101,6 @@ SweepCore::deviceUpdate(SweepChain &chain, int x, int y)
     const EnergyInputs in = mrf_.referencedInputsAt(x, y);
     const Label l =
         chain.unit->sample(in, data2_->row(mrf_.index(x, y)));
-    chain.work.energy_evals += mrf_.numLabels();
-    ++chain.work.random_draws;
-    ++chain.work.site_updates;
     mrf_.setLabel(x, y, l);
 }
 
@@ -171,7 +169,12 @@ SweepCore::work() const
 {
     SamplerWork total;
     for (const auto &chain : chains_)
-        total += chain.work;
+        total.site_updates += chain.work;
+    const uint64_t m = static_cast<uint64_t>(mrf_.numLabels());
+    total.energy_evals = m * total.site_updates;
+    // Device chains (the ones with staged data2) race, not exp().
+    total.exp_calls = data2_ ? 0 : total.energy_evals;
+    total.random_draws = total.site_updates;
     return total;
 }
 

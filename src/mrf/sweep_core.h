@@ -10,7 +10,7 @@
  * SweepCore owns everything else:
  *
  *  - one SweepChain per chain — its RNG stream or emulated RSU-G,
- *    candidate-weight scratch, SIMD draw buffer and work counters;
+ *    candidate-weight scratch, SIMD draw buffer and site count;
  *  - the model's precomputed state — on the Table and Simd paths the
  *    bound SweepTableSet, the exp tables for the current temperature
  *    and the Simd kernel; on the device path the staged Data2Table;
@@ -19,6 +19,10 @@
  *    software chains run their SweepPath;
  *  - the chain lifecycle: unit set-up, temperature changes, SIMD ISA
  *    selection, fault injection, and summed work and device stats.
+ *
+ * A chain counts the sites it updated, once per row run; work()
+ * derives the other SamplerWork fields from that count, the label
+ * count and the chain kind.
  *
  * A sweep is driven by a caller-supplied driver. sweep() hands it one
  * row kernel, row(chain, y, x, end, step), which resamples sites x,
@@ -63,10 +67,10 @@ namespace rsu::mrf {
 
 /**
  * Everything one chain touches during a sweep, on cache lines of its
- * own. Chains run on different cores and write their rng state,
- * scratch and work counters at every site, so the struct is
- * line-aligned and the scratch is inline: a line shared by two
- * chains would bounce between their cores on every site update.
+ * own. Chains run on different cores and write their rng state and
+ * scratch at every site and their site count on every row run, so
+ * the struct is line-aligned and the scratch is inline: a line
+ * shared by two chains would bounce between their cores.
  */
 struct alignas(64) SweepChain
 {
@@ -78,7 +82,7 @@ struct alignas(64) SweepChain
         fixed_weights{};
     rsu::rng::BlockRng block;        // Simd draw buffer
     rsu::core::RsuG *unit = nullptr; // RsuGibbs device, if any
-    SamplerWork work;
+    uint64_t work = 0;               // sites updated
 };
 
 /** Chains, model state and kernel choice shared by every sampler. */
@@ -98,16 +102,15 @@ class SweepCore
               SweepPath path,
               std::shared_ptr<const SweepTableSet> table_set = nullptr);
 
-    /**
-     * Device chains, one owned RSU-G per seed, built from @p config.
-     * Its energy datapath must equal the model's (see
-     * RsuGibbsSampler::unitConfigFor), or this throws.
-     */
+    /** Device chains, one owned RSU-G per seed, built from
+     * @p config with the model's energy datapath. */
     SweepCore(GridMrf &mrf, const rsu::core::RsuGConfig &config,
               const std::vector<uint64_t> &seeds);
 
     /** One device chain on the caller's @p unit (must outlive the
-     * core), checked and set up like the owned units. */
+     * core), set up like the owned units. Its energy datapath must
+     * equal the model's (see RsuGibbsSampler::unitConfigFor), or
+     * this throws. */
     SweepCore(GridMrf &mrf, rsu::core::RsuG &unit);
 
     /**
@@ -165,7 +168,9 @@ class SweepCore
     /** Unit counters summed over chains (zeros without units). */
     rsu::core::RsuGStats deviceStats() const;
 
-    /** Work counters summed over chains. */
+    /** Work of every chain: site_updates and random_draws are the
+     * summed site count, energy_evals M per site, exp_calls M per
+     * site on software chains and 0 on device chains. */
     SamplerWork work() const;
 
     int chains() const { return static_cast<int>(chains_.size()); }
@@ -200,8 +205,10 @@ class SweepCore
     eachSite()
     {
         return [this](int c, int y, int x, int end, int step) {
+            SweepChain &ch = chains_[c];
+            ch.work += (end - x + step - 1) / step;
             for (; x < end; x += step)
-                (this->*Update)(chains_[c], x, y);
+                (this->*Update)(ch, x, y);
         };
     }
 
@@ -225,6 +232,7 @@ class SweepCore
             const int w = mrf_.width();
             const int h = mrf_.height();
             SweepChain &ch = chains_[c];
+            ch.work += (end - x + step - 1) / step;
             const auto border = [&](int bx) {
                 const int site = y * w + bx;
                 const int32_t *zero = dt.zeroRow();
@@ -284,7 +292,6 @@ class SweepCore
         }
         const int choice =
             rsu::rng::sampleDiscreteLinear(ch.rng, weights, m);
-        countSoftwareUpdate(ch.work, m);
         mrf_.setLabel(x, y, set.codes()[choice]);
     }
 
@@ -327,7 +334,6 @@ class SweepCore
             set.singleton().row(site), d0, d1, d2, d3,
             fixed_exp_.data(), ch.fixed_weights.data(), padded, m,
             ch.block.next(ch.rng));
-        countSoftwareUpdate(ch.work, m);
         mrf_.setLabel(x, y, set.codes()[choice]);
     }
 
@@ -335,10 +341,10 @@ class SweepCore
      * Simd-path update of the 8 interior sites x, x + 2, ..., x + 14
      * of row y on an M = 2 model: one site-parallel kernel call
      * (detail::pairSample8Avx2) that draws site x + 2k from the k-th
-     * of 8 consecutive buffered variates. Labels, stream consumption
-     * and work counts equal those of 8 simdUpdate calls in site
-     * order: same-colour sites never read each other, so drawing
-     * them together changes nothing they see.
+     * of 8 consecutive buffered variates. Labels and stream
+     * consumption equal those of 8 simdUpdate calls in site order:
+     * same-colour sites never read each other, so drawing them
+     * together changes nothing they see.
      */
     void
     simdUpdate8(SweepChain &ch, int x, int y)
@@ -354,20 +360,6 @@ class SweepCore
         const Label codes[2] = {set.codes()[0], set.codes()[1]};
         for (int k = 0; k < 8; ++k)
             mrf_.setLabel(x + 2 * k, y, codes[(picks >> k) & 1]);
-        countSoftwareUpdate(ch.work, 2, 8);
-    }
-
-    /** Logical baseline costs of one software site update: the
-     * timing models charge the m conditional-energy computations and
-     * m transcendentals the site *represents*, not the loads that
-     * realized them. */
-    static void
-    countSoftwareUpdate(SamplerWork &work, int m, int sites = 1)
-    {
-        work.energy_evals += m * sites;
-        work.exp_calls += m * sites;
-        work.random_draws += sites;
-        work.site_updates += sites;
     }
 
     void rebuildExpTables();

@@ -1,6 +1,5 @@
 #include "runtime/chromatic_sampler.h"
 
-#include "mrf/rsu_gibbs.h"
 #include "rng/streams.h"
 
 namespace rsu::runtime {
@@ -13,9 +12,7 @@ ChromaticGibbsSampler::ChromaticGibbsSampler(
     : mrf_(mrf), executor_(executor), path_(path),
       core_(kind == SamplerKind::RsuGibbs
                 ? rsu::mrf::SweepCore(
-                      mrf,
-                      rsu::mrf::RsuGibbsSampler::unitConfigFor(
-                          mrf, rsu_base),
+                      mrf, rsu_base,
                       rsu::rng::splitSeeds(seed, executor.shards()))
                 : rsu::mrf::SweepCore(
                       mrf,

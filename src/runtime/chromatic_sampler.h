@@ -9,7 +9,7 @@
  * shard's chain. Each chain owns the full
  * per-worker state a correct parallel chain needs — an RNG stream
  * (jump()-separated, see rng/streams.h) or a whole emulated RSU-G
- * device, candidate-weight scratch, and its own work counters — so a
+ * device, candidate-weight scratch, and its own site count — so a
  * sweep performs zero cross-shard writes except the chromatically
  * safe label-field updates themselves.
  *
@@ -97,7 +97,7 @@ class ChromaticGibbsSampler
      */
     void setTemperature(double t) { core_.setTemperature(t); }
 
-    /** Work counters summed over all shards. */
+    /** Work of all shards (SweepCore::work()). */
     rsu::mrf::SamplerWork work() const { return core_.work(); }
 
     rsu::mrf::SweepPath path() const { return path_; }

@@ -34,7 +34,6 @@ class MotionModel : public rsu::mrf::SingletonModel
 
     uint8_t data1(int x, int y) const override;
     uint8_t data2(int x, int y, rsu::mrf::Label label) const override;
-    bool data2PerLabel() const override { return true; }
 
     int radius() const { return radius_; }
 

@@ -173,6 +173,45 @@ TEST(WorkloadEngineContract, AnnealedRunMatchesDirect)
     EXPECT_LE(result.final_energy, result.initial_energy);
 }
 
+// The default segmentation scene barely leaves its ML start, so an
+// identity on it shows little. At noise sigma 12 the chain moves:
+// each case first asserts that a quarter of the sites left the start
+// (about 43% do), then that the engine reproduces solveDirect()
+// label for label.
+TEST(WorkloadEngineContract, MovingSegmentationMatchesDirect)
+{
+    auto scene = smallScene();
+    scene.noise_sigma = 12.0;
+    const auto problem = rsu::workload::makeSegmentation(scene);
+    rsu::mrf::GridMrf start(problem.config, *problem.singleton);
+    start.initializeMaximumLikelihood();
+
+    using rsu::mrf::SweepPath;
+    struct Case
+    {
+        const char *name;
+        SweepPath path;
+        bool anneal;
+    };
+    InferenceEngine engine;
+    for (const Case c : {Case{"Reference", SweepPath::Reference, false},
+                         Case{"Table", SweepPath::Table, false},
+                         Case{"Table annealed", SweepPath::Table, true}}) {
+        auto options = shortRun(1);
+        options.sweep_path = c.path;
+        options.anneal = c.anneal;
+        const auto direct = solveDirect(problem, options);
+        int moved = 0;
+        for (std::size_t i = 0; i < direct.size(); ++i)
+            moved += direct[i] != start.labels()[i];
+        ASSERT_GT(moved, static_cast<int>(direct.size()) / 4)
+            << c.name;
+        const auto result =
+            engine.submit(makeJob(problem, options)).get();
+        EXPECT_EQ(result.labels, direct) << c.name;
+    }
+}
+
 TEST(WorkloadEngineContract, RepeatSubmissionHitsTableCache)
 {
     InferenceEngine engine;

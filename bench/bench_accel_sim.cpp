@@ -6,7 +6,8 @@
  * #units = BW / frequency / bytes-per-unit-cycle; this bench runs
  * the *functional* farm simulator on a segmentation problem and a
  * motion problem, measuring cycles per iteration, unit utilization,
- * and where the compute-vs-memory crossover actually falls.
+ * bytes per site against the paper's figures, and where the
+ * compute-vs-memory crossover actually falls.
  */
 
 #include <cstdio>
@@ -37,12 +38,14 @@ unitScalingStudy()
     const auto config =
         rsu::vision::segmentationConfig(scene.image, 5, 6.0, 6);
 
+    int bytes_per_site = 0;
     for (int units : {1, 4, 16, 64, 336}) {
         rsu::mrf::GridMrf mrf(config, model);
         mrf.initializeMaximumLikelihood();
         rsu::arch::AcceleratorSimConfig sim_config;
         sim_config.num_units = units;
         rsu::arch::AcceleratorSim sim(mrf, sim_config);
+        bytes_per_site = sim.bytesPerSite();
         const auto stats = sim.sweep();
         std::printf("%8d %16llu %11.1f%% %14.2f %14.2f\n", units,
                     static_cast<unsigned long long>(
@@ -51,6 +54,9 @@ unitScalingStudy()
                     stats.compute_seconds * 1e6,
                     stats.memory_seconds * 1e6);
     }
+    std::printf("\nbytes/site: %d (paper: 5; class means are "
+                "cached constants)\n",
+                bytes_per_site);
     std::printf("\nWith M = 5 a unit needs ~5 cycles per site, so "
                 "the farm turns memory-bound once units x bytes/"
                 "cycle outpace DRAM — the regime the analytic bound "
@@ -75,7 +81,9 @@ boundValidation()
     rsu::arch::AcceleratorSim sim(mrf, sim_config);
     const auto stats = sim.run(10);
 
-    std::printf("bytes/site: %d (paper: 54)\n", sim.bytesPerSite());
+    std::printf("bytes/site: %d (paper: 54; 49 candidate frame-2 "
+                "pixels stream)\n",
+                sim.bytesPerSite());
     std::printf("simulated:  %.3f us/iteration (%.1f%% "
                 "memory-bound)\n",
                 stats.seconds() / 10.0 * 1e6,

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "arch/workload.h"
+
 namespace rsu::arch {
 
 namespace {
@@ -24,6 +26,15 @@ unitSeeds(const AcceleratorSimConfig &config)
     return seeds;
 }
 
+/** Whether data2 streams per site: some site's candidate row differs
+ * from site 0's. Rows sit back to back, so every row equals the
+ * first exactly when each equals the one before it. */
+bool
+data2Streams(const rsu::core::Data2Table &data2, int sites)
+{
+    return !std::equal(data2.row(1), data2.row(sites), data2.row(0));
+}
+
 uint64_t
 busyCycles(const rsu::core::RsuG &unit)
 {
@@ -35,13 +46,10 @@ busyCycles(const rsu::core::RsuG &unit)
 AcceleratorSim::AcceleratorSim(rsu::mrf::GridMrf &mrf,
                                const AcceleratorSimConfig &config)
     : mrf_(mrf), config_(config),
-      core_(mrf, config.unit, unitSeeds(config))
+      core_(mrf, config.unit, unitSeeds(config)),
+      bytes_per_site_(siteBytes(mrf.numLabels(),
+                                data2Streams(core_.data2(), mrf.size())))
 {
-    // Paper section 8.2 byte accounting: 1 B observed data + 4 B
-    // neighbour labels, plus one data2 byte per candidate (e.g.
-    // motion's 49 destination pixels) when there is a choice.
-    bytes_per_site_ =
-        5 + (mrf_.numLabels() > 1 ? mrf_.numLabels() : 0);
 }
 
 AcceleratorIterationStats

@@ -75,9 +75,11 @@ class AcceleratorSim
      * cycles / critical cycles. */
     double lastUtilization() const { return last_utilization_; }
 
-    /** Bytes a site update transfers (paper section 8.2
-     * accounting: 1 data byte + 4 neighbour labels + the
-     * per-candidate data2 stream when the application needs it). */
+    /** Bytes a site update transfers (siteBytes(), paper section
+     * 8.2): 1 data byte + 4 neighbour labels, plus M data2 bytes
+     * when the staged data2 rows differ between sites. Data2 every
+     * site shares (segmentation's class means, denoise's levels) is
+     * cached, so segmentation reads 5 B and motion 54 B. */
     int bytesPerSite() const { return bytes_per_site_; }
 
     int numUnits() const { return core_.chains(); }
@@ -92,7 +94,7 @@ class AcceleratorSim
     rsu::mrf::GridMrf &mrf_;
     AcceleratorSimConfig config_;
     rsu::mrf::SweepCore core_;
-    int bytes_per_site_;
+    const int bytes_per_site_;
     double last_utilization_ = 0.0;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/rsu_isa.h"
+
 namespace rsu::arch {
 
 CpuModel::CpuModel(const CpuConfig &config) : config_(config)
@@ -26,12 +28,13 @@ double
 CpuModel::rsuSeconds(const Workload &w) const
 {
     // The in-order core stalls for the RSU-G1's 7 + (M-1) cycle
-    // evaluation; operand writes overlap the tail of the previous
-    // evaluation (software pipelining, section 6.1).
+    // evaluation or its instruction issue, whichever is longer;
+    // operand writes overlap the tail of the previous evaluation
+    // (software pipelining, section 6.1).
     const double rsu_wait = 7.0 + (w.num_labels - 1);
+    const double issue = rsu::core::instructionsPerSample(w.num_labels);
     const double per_pixel =
-        config_.rsu_overhead_cycles +
-        std::max(config_.rsu_instruction_cycles, rsu_wait);
+        config_.rsu_overhead_cycles + std::max(issue, rsu_wait);
     return static_cast<double>(w.pixels()) * w.iterations *
            per_pixel / (config_.frequency_ghz * 1e9);
 }

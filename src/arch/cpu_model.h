@@ -38,8 +38,6 @@ struct CpuConfig
     /** Fixed per-pixel overhead of the RSU-augmented loop (operand
      * loads overlap the RSU wait via software pipelining). */
     double rsu_overhead_cycles = 40.0;
-    /** RSU path: operand writes + read per pixel. */
-    double rsu_instruction_cycles = 5.0;
 };
 
 /** Sequential-core timing model. */

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "arch/power_area.h"
+#include "core/rsu_isa.h"
 
 namespace rsu::arch {
 
@@ -35,17 +36,17 @@ GpuModel::cyclesPerPixel(const Workload &w, GpuVariant variant) const
 {
     const GpuKernelCosts &c = w.gpu;
     const double m = static_cast<double>(w.num_labels);
+    const double rsu_fixed = c.rsu_overhead_cycles +
+                             rsu::core::instructionsPerSample(w.num_labels);
     switch (variant) {
       case GpuVariant::Baseline:
         return c.overhead_cycles + m * c.label_cycles;
       case GpuVariant::Optimized:
         return c.overhead_cycles + m * c.label_cycles_opt;
       case GpuVariant::RsuG1:
-        return c.rsu_overhead_cycles + c.rsu_instructions +
-               std::ceil(m / 1.0) * c.rsu_slot_cycles;
+        return rsu_fixed + std::ceil(m / 1.0) * c.rsu_slot_cycles;
       case GpuVariant::RsuG4:
-        return c.rsu_overhead_cycles + c.rsu_instructions +
-               std::ceil(m / 4.0) * c.rsu_slot_cycles;
+        return rsu_fixed + std::ceil(m / 4.0) * c.rsu_slot_cycles;
     }
     throw std::invalid_argument("cyclesPerPixel: bad variant");
 }

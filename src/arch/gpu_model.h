@@ -13,7 +13,8 @@
  *
  *   cycles_per_pixel(baseline) = overhead + M * label_cycles
  *   cycles_per_pixel(opt)      = overhead + M * label_cycles_opt
- *   cycles_per_pixel(RSU-Gk)   = rsu_overhead + rsu_instructions
+ *   cycles_per_pixel(RSU-Gk)   = rsu_overhead
+ *                                + instructionsPerSample(M)
  *                                + ceil(M/K) * rsu_slot_cycles
  *
  *   occupancy(p) = p / (p + P0)   (small images under-fill the GPU;

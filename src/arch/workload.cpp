@@ -2,82 +2,64 @@
 
 namespace rsu::arch {
 
+namespace {
+
+/** The fields every paper workload fills the same way; bytes per
+ * pixel follow from M and whether data2 streams (siteBytes()). */
+Workload
+paperWorkload(const char *name, int width, int height, int num_labels,
+              int iterations, bool data2_streams, const GpuKernelCosts &gpu)
+{
+    const int bytes = siteBytes(num_labels, data2_streams);
+    return {name, width, height, num_labels, iterations, bytes, gpu};
+}
+
+} // namespace
+
 Workload
 segmentationWorkload(int width, int height)
 {
-    Workload w;
-    w.name = "image-segmentation";
-    w.width = width;
-    w.height = height;
-    w.num_labels = 5;
-    w.iterations = 5000;
-    // 1 B pixel intensity + 4 B neighbour labels (section 8.2).
-    w.bytes_per_pixel = 5;
-    // Calibration: overhead/label-cycle constants fitted once
-    // against the paper's Table 2 baseline GPU column (see
-    // EXPERIMENTS.md); RSU constants follow from the instruction
-    // sequence (NEIGHBORS + SINGLETON_A + ENERGY_OFFSET + 1 packed
-    // SINGLETON_D + read = 5) with class means held in registers
-    // (no per-label memory traffic, so the slot cost is the bare
-    // issue cycle).
-    w.gpu.overhead_cycles = 300.0;
-    w.gpu.label_cycles = 120.8;
-    w.gpu.label_cycles_opt = 82.6;
-    w.gpu.rsu_overhead_cycles = 285.0;
-    w.gpu.rsu_slot_cycles = 1.0;
-    w.gpu.rsu_instructions = 5.0;
-    w.gpu.occupancy_p0 = 101500.0;
-    return w;
+    // Class means are global constants the accelerator caches, so
+    // data2 does not stream (section 8.2). Calibration:
+    // overhead/label-cycle constants fitted once against the paper's
+    // Table 2 baseline GPU column (see EXPERIMENTS.md); with the
+    // class means held in registers there is no per-label memory
+    // traffic, so the RSU slot cost is the bare issue cycle.
+    return paperWorkload("image-segmentation", width, height, 5, 5000,
+                         /*data2_streams=*/false,
+                         {.overhead_cycles = 300.0, .label_cycles = 120.8,
+                          .label_cycles_opt = 82.6,
+                          .rsu_overhead_cycles = 285.0, .rsu_slot_cycles = 1.0,
+                          .occupancy_p0 = 101500.0});
 }
 
 Workload
 motionWorkload(int width, int height)
 {
-    Workload w;
-    w.name = "dense-motion-estimation";
-    w.width = width;
-    w.height = height;
-    w.num_labels = 49;
-    w.iterations = 400;
-    // 49 B destination intensities + 1 B source intensity + 4 B
-    // neighbour labels (section 8.2).
-    w.bytes_per_pixel = 54;
-    // Motion's RSU kernel still performs one uncoalesced frame-2
-    // load per candidate label (the SINGLETON_D stream), so the
-    // slot cost stays high; the instruction sequence is NEIGHBORS +
-    // SINGLETON_A + ENERGY_OFFSET + ceil(49/8) packed SINGLETON_D
-    // + read = 11.
-    w.gpu.overhead_cycles = 300.0;
-    w.gpu.label_cycles = 520.0;
-    w.gpu.label_cycles_opt = 246.0;
-    w.gpu.rsu_overhead_cycles = 463.0;
-    w.gpu.rsu_slot_cycles = 28.6;
-    w.gpu.rsu_instructions = 11.0;
-    w.gpu.occupancy_p0 = 61400.0;
-    return w;
+    // Data2 is the displaced frame-2 pixel, one per candidate
+    // (section 8.2). Motion's RSU kernel still performs one
+    // uncoalesced frame-2 load per candidate label (the SINGLETON_D
+    // stream), so the slot cost stays high.
+    return paperWorkload("dense-motion-estimation", width, height, 49,
+                         400, /*data2_streams=*/true,
+                         {.overhead_cycles = 300.0, .label_cycles = 520.0,
+                          .label_cycles_opt = 246.0,
+                          .rsu_overhead_cycles = 463.0,
+                          .rsu_slot_cycles = 28.6, .occupancy_p0 = 61400.0});
 }
 
 Workload
 stereoWorkload(int width, int height)
 {
-    Workload w;
-    w.name = "stereo-vision";
-    w.width = width;
-    w.height = height;
-    w.num_labels = 5;
-    w.iterations = 5000;
     // Same operand footprint as segmentation plus the shifted
-    // right-image pixel per label; 5 candidate loads + 1 + 4.
-    w.bytes_per_pixel = 10;
-    // Stereo is costed like segmentation with a per-label load.
-    w.gpu.overhead_cycles = 300.0;
-    w.gpu.label_cycles = 150.0;
-    w.gpu.label_cycles_opt = 95.0;
-    w.gpu.rsu_overhead_cycles = 300.0;
-    w.gpu.rsu_slot_cycles = 10.0;
-    w.gpu.rsu_instructions = 5.0;
-    w.gpu.occupancy_p0 = 101500.0;
-    return w;
+    // right-image pixel per label; costed like segmentation with a
+    // per-label load.
+    return paperWorkload("stereo-vision", width, height, 5, 5000,
+                         /*data2_streams=*/true,
+                         {.overhead_cycles = 300.0, .label_cycles = 150.0,
+                          .label_cycles_opt = 95.0,
+                          .rsu_overhead_cycles = 300.0,
+                          .rsu_slot_cycles = 10.0, .occupancy_p0 = 101500.0});
 }
 
 } // namespace rsu::arch

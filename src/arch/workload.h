@@ -32,11 +32,22 @@ struct GpuKernelCosts
     /** Per-issue-slot RSU-side cost, cycles (multiplies ceil(M/K)):
      * non-overlapped sampling wait plus per-label operand traffic. */
     double rsu_slot_cycles;
-    /** RSU instructions issued per pixel (operand writes + read). */
-    double rsu_instructions;
     /** GPU occupancy half-saturation point, active pixels. */
     double occupancy_p0;
 };
+
+/**
+ * DRAM bytes one site update moves (paper section 8.2): 1 B observed
+ * data + 4 B neighbour labels, plus one data2 byte per candidate when
+ * data2 streams per site (motion's displaced frame-2 pixels) and
+ * there is a choice. Data2 that every site shares (segmentation's
+ * class means) is a constant table the accelerator caches.
+ */
+constexpr int
+siteBytes(int num_labels, bool data2_streams)
+{
+    return 1 + 4 + (data2_streams && num_labels > 1 ? num_labels : 0);
+}
 
 /** One application at one image size. */
 struct Workload
@@ -46,8 +57,8 @@ struct Workload
     int height;
     int num_labels;
     int iterations;
-    /** DRAM bytes touched per pixel per MCMC iteration (paper
-     * section 8.2: segmentation 5, motion estimation 54). */
+    /** DRAM bytes touched per pixel per MCMC iteration: siteBytes()
+     * (paper section 8.2: segmentation 5, motion estimation 54). */
     int bytes_per_pixel;
     GpuKernelCosts gpu;
 

@@ -66,6 +66,23 @@ uint64_t packNeighbors(const std::array<Label, 4> &labels,
 /** Pack up to eight 6-bit data values for a SINGLETON_D write. */
 uint64_t packSingletonD(const uint8_t *values, int count);
 
+/** SINGLETON_D writes one sample over @p num_labels candidates
+ * needs (eight values per word). */
+constexpr int
+singletonDWords(int num_labels)
+{
+    return (num_labels + 7) / 8;
+}
+
+/** RSU instructions one sample issues (paper section 6.1): the
+ * NEIGHBORS, SINGLETON_A and ENERGY_OFFSET writes, the SINGLETON_D
+ * words and one read-result. */
+constexpr int
+instructionsPerSample(int num_labels)
+{
+    return 4 + singletonDWords(num_labels);
+}
+
 /** Architected per-application state (context-switch payload). */
 struct RsuContext
 {

@@ -37,9 +37,9 @@ RsuGibbsSampler::updateSite(int x, int y)
                   packNeighbors(in.neighbors, in.neighbor_valid));
     device_.write(RsuReg::SingletonA, in.data1);
     device_.write(RsuReg::EnergyOffset, in.energy_offset);
-    for (int base = 0; base < m; base += 8)
+    for (int w = 0; w < rsu::core::singletonDWords(m); ++w)
         device_.write(RsuReg::SingletonD,
-                      packSingletonD(&data2[base], std::min(8, m - base)));
+                      packSingletonD(&data2[8 * w], std::min(8, m - 8 * w)));
     const Label l = device_.readResult().label;
     ++core_.chain(0).work;
     mrf_.setLabel(x, y, l);

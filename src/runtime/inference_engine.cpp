@@ -327,7 +327,7 @@ InferenceEngine::execute(QueuedJob &queued)
 
     ParallelSweepExecutor executor(pool_, job.shards);
     auto sampler = std::make_unique<ChromaticGibbsSampler>(
-        mrf, executor, job.seed, job.sampler, job.rsu_base,
+        mrf, executor, job.seed, job.sampler, rsu::core::RsuGConfig{},
         job.sweep_path, table_set);
     if (job.faults)
         sampler->injectFaults(*job.faults);
@@ -350,7 +350,7 @@ InferenceEngine::execute(QueuedJob &queued)
             table_set = acquireTableSet(mrf, job, result, ml_energy);
         sampler = std::make_unique<ChromaticGibbsSampler>(
             mrf, executor, job.seed, SamplerKind::SoftwareGibbs,
-            job.rsu_base, rsu::mrf::SweepPath::Table, table_set);
+            rsu::core::RsuGConfig{}, rsu::mrf::SweepPath::Table, table_set);
         result.degraded = true;
         result.degraded_at_sweep = result.sweeps_run;
     };

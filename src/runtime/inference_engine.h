@@ -88,10 +88,6 @@ struct InferenceJob
      * explicitly asks to exercise the reference loop. */
     rsu::mrf::SweepPath sweep_path = rsu::mrf::SweepPath::Table;
 
-    /** Per-shard RSU-G template (RsuGibbs only); energy datapath is
-     * overridden from the model. */
-    rsu::core::RsuGConfig rsu_base;
-
     /** Entropy seed (streams split per shard, see rng/streams.h). */
     uint64_t seed = 1;
 

@@ -12,6 +12,7 @@
 #include <numeric>
 
 #include "arch/accel_sim.h"
+#include "arch/workload.h"
 #include "core/rsu_units.h"
 #include "mrf/annealing.h"
 #include "mrf/estimator.h"
@@ -22,6 +23,7 @@
 #include "vision/motion.h"
 #include "vision/recall.h"
 #include "vision/segmentation.h"
+#include "vision/stereo.h"
 #include "vision/synthetic.h"
 
 namespace {
@@ -366,7 +368,9 @@ TEST(AcceleratorSim, CriticalPathShrinksWithUnits)
 TEST(AcceleratorSim, ByteAccountingMatchesThePaper)
 {
     rsu::rng::Xoshiro256 rng(17);
-    // Segmentation: data2 is per-label (class means) -> 5 + M.
+    // Segmentation: data2 is the candidate's class mean, the same at
+    // every site, so the accelerator caches it: 1 B intensity + 4 B
+    // neighbour labels.
     const auto seg_scene =
         rsu::vision::makeSegmentationScene(16, 16, 5, 2.5, rng);
     rsu::vision::SegmentationModel seg_model(seg_scene.image,
@@ -377,10 +381,11 @@ TEST(AcceleratorSim, ByteAccountingMatchesThePaper)
     rsu::arch::AcceleratorSimConfig sim_config;
     sim_config.num_units = 4;
     rsu::arch::AcceleratorSim seg_sim(seg, sim_config);
-    // Class means are global constants the accelerator caches, but
-    // the general accounting charges per-candidate streams only
-    // when data2 varies per label; the motion figure is the
-    // paper-pinned one.
+    EXPECT_EQ(seg_sim.bytesPerSite(), 5); // paper section 8.2
+    EXPECT_EQ(seg_sim.bytesPerSite(),
+              rsu::arch::segmentationWorkload(16, 16).bytes_per_pixel);
+    // Motion and stereo: data2 is a per-site pixel of the second
+    // image, one per candidate, streamed with the site: 5 + M.
     const auto motion_scene =
         rsu::vision::makeMotionScene(16, 16, 1, 3, 0.0, rng);
     rsu::vision::MotionModel motion_model(motion_scene.frame1,
@@ -390,6 +395,19 @@ TEST(AcceleratorSim, ByteAccountingMatchesThePaper)
     rsu::mrf::GridMrf motion(motion_config, motion_model);
     rsu::arch::AcceleratorSim motion_sim(motion, sim_config);
     EXPECT_EQ(motion_sim.bytesPerSite(), 54); // paper section 8.2
+    EXPECT_EQ(motion_sim.bytesPerSite(),
+              rsu::arch::motionWorkload(16, 16).bytes_per_pixel);
+
+    const auto stereo_scene =
+        rsu::vision::makeStereoScene(16, 16, 5, 1.0, rng);
+    rsu::vision::StereoModel stereo_model(stereo_scene.left,
+                                          stereo_scene.right, 5);
+    rsu::mrf::GridMrf stereo(
+        rsu::vision::stereoConfig(stereo_scene.left, 5), stereo_model);
+    rsu::arch::AcceleratorSim stereo_sim(stereo, sim_config);
+    EXPECT_EQ(stereo_sim.bytesPerSite(), 10);
+    EXPECT_EQ(stereo_sim.bytesPerSite(),
+              rsu::arch::stereoWorkload(16, 16).bytes_per_pixel);
 }
 
 TEST(AcceleratorSim, OneUnitMatchesRsuGibbsSamplerDirect)

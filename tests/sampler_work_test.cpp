@@ -4,7 +4,8 @@
  * it updated, and SweepCore::work() derives the other fields from
  * it: M energy evaluations and one random draw per site, plus M
  * exp() calls per site on software chains and none on device
- * chains, whose RSU-G races instead of exponentiating.
+ * chains, whose RSU-G races instead of exponentiating. Isa mode's
+ * instruction count is checked against instructionsPerSample(M).
  */
 
 #include <cstdint>
@@ -14,12 +15,14 @@
 
 #include "arch/accel_sim.h"
 #include "core/rsu_g.h"
+#include "core/rsu_isa.h"
 #include "mrf/gibbs.h"
 #include "mrf/grid_mrf.h"
 #include "mrf/rsu_gibbs.h"
 #include "runtime/chromatic_sampler.h"
 #include "runtime/parallel_sweep.h"
 #include "runtime/thread_pool.h"
+#include "vision/motion.h"
 #include "vision/segmentation.h"
 #include "vision/synthetic.h"
 
@@ -138,6 +141,37 @@ TEST(SamplerWorkDerivation, SoftwareChainsCountOneExpPerCandidate)
     chromatic.run(kSweeps);
     expectSoftwareWork(chromatic.work(),
                        "chromatic SoftwareGibbs Table, S = 2");
+}
+
+TEST(IsaInstructionCount, MatchesInstructionsPerSampleBeyondOneWord)
+{
+    // Motion at window radius 1 and 3: M = 9 and 49 candidates, two
+    // and seven SINGLETON_D words per site.
+    EXPECT_EQ(rsu::core::instructionsPerSample(9), 6);
+    EXPECT_EQ(rsu::core::instructionsPerSample(49), 11);
+    for (const int radius : {1, 3}) {
+        rsu::rng::Xoshiro256 rng(7);
+        const auto scene =
+            rsu::vision::makeMotionScene(kWidth, kHeight, 1, radius, 0.0,
+                                         rng);
+        rsu::vision::MotionModel model(scene.frame1, scene.frame2,
+                                       radius);
+        GridMrf mrf(rsu::vision::motionConfig(scene.frame1, radius),
+                    model);
+        mrf.initializeMaximumLikelihood();
+        rsu::core::RsuG unit(
+            rsu::mrf::RsuGibbsSampler::unitConfigFor(mrf), 5);
+        rsu::mrf::RsuGibbsSampler sampler(
+            mrf, unit, rsu::mrf::Schedule::Checkerboard,
+            rsu::mrf::RsuGibbsSampler::Mode::Isa);
+        sampler.run(kSweeps);
+        const int m = mrf.numLabels();
+        EXPECT_EQ(m, (2 * radius + 1) * (2 * radius + 1));
+        EXPECT_EQ(sampler.rsuInstructions(),
+                  kSites * rsu::core::instructionsPerSample(m))
+            << "M = " << m;
+        EXPECT_EQ(unit.stats().samples, kSites) << "M = " << m;
+    }
 }
 
 } // namespace

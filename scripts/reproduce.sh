@@ -4,12 +4,13 @@
 # Usage: scripts/reproduce.sh [build-dir] [results-dir]
 set -e
 
-BUILD=${1:-build}
-RESULTS=${2:-results}
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
+RESULTS=${2:-results}
 
 cd "$ROOT"
-cmake -B "$BUILD" -G Ninja
+# Absolute, so the binaries run from inside $RESULTS below.
+BUILD=$(mkdir -p "${1:-build}" && cd "${1:-build}" && pwd)
+cmake -S . -B "$BUILD"
 cmake --build "$BUILD"
 
 mkdir -p "$RESULTS"
@@ -20,9 +21,10 @@ ctest --test-dir "$BUILD" --output-on-failure \
 
 echo "== benchmarks =="
 for b in "$BUILD"/bench/*; do
+    [ -f "$b" ] && [ -x "$b" ] || continue
     name=$(basename "$b")
     echo "-- $name"
-    (cd "$RESULTS" && "$ROOT/$b" > "$name.txt" 2>&1)
+    (cd "$RESULTS" && "$b" > "$name.txt" 2>&1)
 done
 
 echo "== examples =="
@@ -30,7 +32,7 @@ for e in "$BUILD"/examples/*; do
     [ -f "$e" ] && [ -x "$e" ] || continue
     name=$(basename "$e")
     echo "-- $name"
-    (cd "$RESULTS" && "$ROOT/$e" > "example_$name.txt" 2>&1)
+    (cd "$RESULTS" && "$e" > "example_$name.txt" 2>&1)
 done
 
 echo "done; outputs (tables, PGM images) are in $RESULTS/"

@@ -46,7 +46,7 @@ busyCycles(const rsu::core::RsuG &unit)
 AcceleratorSim::AcceleratorSim(rsu::mrf::GridMrf &mrf,
                                const AcceleratorSimConfig &config)
     : mrf_(mrf), config_(config),
-      core_(mrf, config.unit, unitSeeds(config)),
+      core_(mrf, rsu::core::RsuGConfig{}, unitSeeds(config)),
       bytes_per_site_(siteBytes(mrf.numLabels(),
                                 data2Streams(core_.data2(), mrf.size())))
 {

@@ -31,10 +31,7 @@ struct AcceleratorSimConfig
     int num_units = 336;        //!< RSU-G units in the farm
     double frequency_ghz = 1.0; //!< unit clock
     double mem_bw_gbs = 336.0;  //!< DRAM bandwidth
-    /** Unit template; its energy configuration is overwritten to
-     * match the model's. */
-    rsu::core::RsuGConfig unit;
-    uint64_t seed = 1;
+    uint64_t seed = 1;          //!< unit u draws from seed + u
 };
 
 /** One iteration's timing breakdown. */

@@ -75,6 +75,21 @@ struct MrfConfig
     std::vector<Label> label_codes;
 };
 
+/** A scalar-label configuration on the default energy datapath
+ * (scalar codes, singleton shift 4): every workload but motion. */
+inline MrfConfig
+scalarConfig(int width, int height, int num_labels, double temperature,
+             int doubleton_weight)
+{
+    MrfConfig config;
+    config.width = width;
+    config.height = height;
+    config.num_labels = num_labels;
+    config.temperature = temperature;
+    config.energy.doubleton_weight = doubleton_weight;
+    return config;
+}
+
 /** The lattice, its current labelling, and the energy functions. */
 class GridMrf
 {

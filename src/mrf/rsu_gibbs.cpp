@@ -16,11 +16,11 @@ RsuGibbsSampler::RsuGibbsSampler(GridMrf &mrf, rsu::core::RsuG &unit,
 }
 
 rsu::core::RsuGConfig
-RsuGibbsSampler::unitConfigFor(const GridMrf &mrf,
-                               rsu::core::RsuGConfig base)
+RsuGibbsSampler::unitConfigFor(const GridMrf &mrf)
 {
-    base.energy = mrf.config().energy;
-    return base;
+    rsu::core::RsuGConfig config;
+    config.energy = mrf.config().energy;
+    return config;
 }
 
 Label

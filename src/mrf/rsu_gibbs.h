@@ -53,13 +53,8 @@ class RsuGibbsSampler
                     Schedule schedule = Schedule::Checkerboard,
                     Mode mode = Mode::Direct);
 
-    /**
-     * RSU-G configuration matching @p mrf's energy datapath, with
-     * every other knob taken from @p base.
-     */
-    static rsu::core::RsuGConfig
-    unitConfigFor(const GridMrf &mrf,
-                  rsu::core::RsuGConfig base = {});
+    /** Default RSU-G configuration with @p mrf's energy datapath. */
+    static rsu::core::RsuGConfig unitConfigFor(const GridMrf &mrf);
 
     /** Resample one site through the device. */
     Label updateSite(int x, int y);

@@ -109,7 +109,6 @@ class RetCircuit
     const TtfTimer &timer() const { return timer_; }
     const ExponentialNetwork &network() const { return network_; }
     ExponentialNetwork &network() { return network_; }
-    int quiescenceCycles() const { return quiescence_cycles_; }
 
   private:
     QdLedBank leds_;

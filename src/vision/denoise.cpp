@@ -45,15 +45,9 @@ rsu::mrf::MrfConfig
 denoiseConfig(const Image &noisy, int num_levels, double temperature,
               int doubleton_weight)
 {
-    rsu::mrf::MrfConfig config;
-    config.width = noisy.width();
-    config.height = noisy.height();
-    config.num_labels = num_levels;
-    config.temperature = temperature;
-    config.energy.mode = rsu::core::LabelMode::Scalar;
-    config.energy.doubleton_weight = doubleton_weight;
-    config.energy.singleton_shift = 4;
-    return config;
+    return rsu::mrf::scalarConfig(noisy.width(), noisy.height(),
+                                  num_levels, temperature,
+                                  doubleton_weight);
 }
 
 } // namespace rsu::vision

@@ -93,18 +93,10 @@ RecallModel::data2(int x, int y, rsu::mrf::Label label) const
 
 rsu::mrf::MrfConfig
 recallConfig(const RecallProblem &problem, double temperature,
-             int doubleton_weight, int evidence_strength)
+             int doubleton_weight)
 {
-    (void)evidence_strength; // carried by the RecallModel
-    rsu::mrf::MrfConfig config;
-    config.width = problem.width;
-    config.height = problem.height;
-    config.num_labels = 2;
-    config.temperature = temperature;
-    config.energy.mode = rsu::core::LabelMode::Scalar;
-    config.energy.doubleton_weight = doubleton_weight;
-    config.energy.singleton_shift = 4;
-    return config;
+    return rsu::mrf::scalarConfig(problem.width, problem.height, 2,
+                                  temperature, doubleton_weight);
 }
 
 } // namespace rsu::vision

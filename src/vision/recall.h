@@ -72,15 +72,11 @@ class RecallModel : public rsu::mrf::SingletonModel
     uint8_t strength_;
 };
 
-/**
- * MRF configuration for a recall problem.
- *
- * @param evidence_strength 6-bit separation between the two
- *        observation values; larger = stronger data term
- */
+/** MRF configuration for a recall problem (the data-term strength
+ * is the RecallModel's). */
 rsu::mrf::MrfConfig
 recallConfig(const RecallProblem &problem, double temperature = 2.0,
-             int doubleton_weight = 3, int evidence_strength = 24);
+             int doubleton_weight = 3);
 
 } // namespace rsu::vision
 

@@ -92,15 +92,9 @@ rsu::mrf::MrfConfig
 segmentationConfig(const Image &image, int num_labels,
                    double temperature, int doubleton_weight)
 {
-    rsu::mrf::MrfConfig config;
-    config.width = image.width();
-    config.height = image.height();
-    config.num_labels = num_labels;
-    config.temperature = temperature;
-    config.energy.mode = rsu::core::LabelMode::Scalar;
-    config.energy.doubleton_weight = doubleton_weight;
-    config.energy.singleton_shift = 4;
-    return config;
+    return rsu::mrf::scalarConfig(image.width(), image.height(),
+                                  num_labels, temperature,
+                                  doubleton_weight);
 }
 
 } // namespace rsu::vision

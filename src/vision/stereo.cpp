@@ -33,15 +33,9 @@ rsu::mrf::MrfConfig
 stereoConfig(const Image &left, int num_disparities,
              double temperature, int doubleton_weight)
 {
-    rsu::mrf::MrfConfig config;
-    config.width = left.width();
-    config.height = left.height();
-    config.num_labels = num_disparities;
-    config.temperature = temperature;
-    config.energy.mode = rsu::core::LabelMode::Scalar;
-    config.energy.doubleton_weight = doubleton_weight;
-    config.energy.singleton_shift = 4;
-    return config;
+    return rsu::mrf::scalarConfig(left.width(), left.height(),
+                                  num_disparities, temperature,
+                                  doubleton_weight);
 }
 
 } // namespace rsu::vision

@@ -1,7 +1,6 @@
 #include "workload/factories.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -23,8 +22,9 @@ namespace {
 using rsu::mrf::Label;
 using rsu::vision::Image;
 
-int
-pick(int value, int fallback)
+template <typename T>
+T
+pick(T value, T fallback)
 {
     return value > 0 ? value : fallback;
 }
@@ -35,91 +35,90 @@ pickSigma(double value, double fallback)
     return value >= 0.0 ? value : fallback;
 }
 
-/** Workload-tuned geometric schedule starting at the problem's
+/** A scene and the model built in place from it: the model
+ * references images the scene owns, and the problem's model pointer
+ * aliases into the bundle, so one allocation keeps the whole
+ * instance alive. */
+template <typename Scene, typename Model>
+struct Bundle
+{
+    Scene scene;
+    Model model;
+
+    Bundle(const Bundle &) = delete; // the model references scene
+
+    template <typename Build>
+    Bundle(Scene s, Build build)
+        : scene(std::move(s)), model(build(scene))
+    {
+    }
+};
+
+/** Bundle @p scene with the model @p build makes from it. */
+template <typename Scene, typename Build>
+auto
+bundle(Scene scene, Build build)
+{
+    using Model = decltype(build(scene));
+    return std::make_shared<Bundle<Scene, Model>>(std::move(scene),
+                                                  build);
+}
+
+/** The fields every factory fills alike: names, config, the bundle's
+ * model, and a workload-tuned geometric schedule starting at the
  * configured temperature. */
-rsu::mrf::AnnealingSchedule
-defaultSchedule(double start_temperature)
+template <typename B>
+InferenceProblem
+assemble(const char *workload, rsu::mrf::MrfConfig config,
+         double sigma, const std::shared_ptr<B> &b,
+         const char *what = nullptr)
 {
-    rsu::mrf::AnnealingSchedule schedule;
-    schedule.start_temperature = start_temperature;
-    schedule.stop_temperature = 1.0;
-    schedule.cooling_factor = 0.7;
-    schedule.sweeps_per_stage = 5;
-    return schedule;
-}
-
-std::string
-describe(const char *what, const rsu::mrf::MrfConfig &config,
-         double sigma)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "%s %dx%d, M=%d, sigma %.1f",
-                  what, config.width, config.height,
+    char text[128];
+    std::snprintf(text, sizeof text, "%s %dx%d, M=%d, sigma %.1f",
+                  what ? what : workload, config.width, config.height,
                   config.num_labels, sigma);
-    return buf;
+    InferenceProblem problem;
+    problem.workload = workload;
+    problem.description = text;
+    problem.default_annealing = {.start_temperature = config.temperature,
+                                 .stop_temperature = 1.0,
+                                 .cooling_factor = 0.7,
+                                 .sweeps_per_stage = 5};
+    problem.config = std::move(config);
+    problem.singleton =
+        std::shared_ptr<const rsu::mrf::SingletonModel>(b, &b->model);
+    return problem;
 }
 
-/** Scene + model bundles: the model references images owned by the
- * same object, and the problem's shared model pointer aliases into
- * the bundle — one allocation keeps the whole instance alive. */
-struct SegmentationHolder
+/** Label accuracy against the truth the bundle's scene holds. */
+template <typename B>
+QualityMetric
+accuracy(const std::shared_ptr<B> &b)
 {
-    rsu::vision::SegmentationScene scene;
-    rsu::vision::SegmentationModel model;
+    return {"accuracy", true, [b](const std::vector<Label> &result) {
+                return rsu::vision::labelAccuracy(result, b->scene.truth);
+            }};
+}
 
-    SegmentationHolder(rsu::vision::SegmentationScene s,
-                       std::vector<uint8_t> means)
-        : scene(std::move(s)), model(scene.image, std::move(means))
-    {
-    }
-};
-
-struct ImageSegmentationHolder
+/** Render that paints each site with its class mean. */
+template <typename B>
+auto
+paintMeans(const std::shared_ptr<B> &b, const rsu::mrf::MrfConfig &config)
 {
-    Image image;
-    rsu::vision::SegmentationModel model;
+    return [b, w = config.width,
+            h = config.height](const std::vector<Label> &result) {
+        Image out(w, h, 63);
+        for (int i = 0; i < out.size(); ++i)
+            out.pixels()[i] = b->model.means()[result[i] & 0x7];
+        return out;
+    };
+}
 
-    ImageSegmentationHolder(Image img, std::vector<uint8_t> means)
-        : image(std::move(img)), model(image, std::move(means))
-    {
-    }
-};
-
-struct StereoHolder
-{
-    rsu::vision::StereoScene scene;
-    rsu::vision::StereoModel model;
-
-    explicit StereoHolder(rsu::vision::StereoScene s)
-        : scene(std::move(s)),
-          model(scene.left, scene.right, scene.num_disparities)
-    {
-    }
-};
-
-struct MotionHolder
-{
-    rsu::vision::MotionScene scene;
-    rsu::vision::MotionModel model;
-
-    explicit MotionHolder(rsu::vision::MotionScene s)
-        : scene(std::move(s)),
-          model(scene.frame1, scene.frame2, scene.radius)
-    {
-    }
-};
-
-struct DenoiseHolder
+/** Denoise's scene: the clean image and its noisy observation. */
+struct DenoiseScene
 {
     Image clean;
     Image noisy;
-    rsu::vision::DenoiseModel model;
-
-    DenoiseHolder(Image c, Image n, int levels)
-        : clean(std::move(c)), noisy(std::move(n)),
-          model(noisy, levels)
-    {
-    }
 };
 
 /** Deterministic pseudo-random data streams hashed from a seed —
@@ -155,61 +154,34 @@ class SyntheticModel final : public rsu::mrf::SingletonModel
     uint64_t seed_;
 };
 
-struct SyntheticHolder
-{
-    SyntheticModel model;
-
-    explicit SyntheticHolder(uint64_t seed) : model(seed) {}
-};
-
 } // namespace
 
 InferenceProblem
 makeSegmentation(const SceneOptions &options)
 {
-    const int width = pick(options.width, 160);
-    const int height = pick(options.height, 120);
     const int labels = std::clamp(pick(options.labels, 5), 2, 8);
     const double sigma = pickSigma(options.noise_sigma, 3.0);
 
     rsu::rng::Xoshiro256 rng(options.seed);
-    auto scene = rsu::vision::makeSegmentationScene(
-        width, height, labels, sigma, rng);
     // True region means, so model label i corresponds to region i
     // and ground-truth accuracy is a straight label comparison.
-    auto means = scene.region_means;
-    auto holder = std::make_shared<SegmentationHolder>(
-        std::move(scene), std::move(means));
-
-    InferenceProblem problem;
-    problem.workload = "segmentation";
-    problem.config = rsu::vision::segmentationConfig(
-        holder->scene.image, labels,
-        options.temperature > 0.0 ? options.temperature : 6.0,
-        pick(options.doubleton_weight, 6));
-    problem.description =
-        describe("segmentation", problem.config, sigma);
-    problem.singleton =
-        std::shared_ptr<const rsu::mrf::SingletonModel>(
-            holder, &holder->model);
-    problem.default_annealing =
-        defaultSchedule(problem.config.temperature);
-    problem.ground_truth = holder->scene.truth;
-    problem.quality = {
-        "accuracy", true,
-        [holder](const std::vector<Label> &result) {
-            return rsu::vision::labelAccuracy(result,
-                                              holder->scene.truth);
-        }};
-    problem.render = [holder](const std::vector<Label> &result) {
-        Image out(holder->scene.image.width(),
-                  holder->scene.image.height(), 63);
-        for (int i = 0; i < out.size(); ++i)
-            out.pixels()[i] =
-                holder->model.means()[result[i] & 0x7];
-        return out;
-    };
-    problem.observation = holder->scene.image;
+    auto b = bundle(rsu::vision::makeSegmentationScene(
+                        pick(options.width, 160),
+                        pick(options.height, 120), labels, sigma, rng),
+                    [](const rsu::vision::SegmentationScene &s) {
+                        return rsu::vision::SegmentationModel(
+                            s.image, s.region_means);
+                    });
+    auto problem = assemble(
+        "segmentation",
+        rsu::vision::segmentationConfig(
+            b->scene.image, labels, pick(options.temperature, 6.0),
+            pick(options.doubleton_weight, 6)),
+        sigma, b);
+    problem.ground_truth = b->scene.truth;
+    problem.quality = accuracy(b);
+    problem.render = paintMeans(b, problem.config);
+    problem.observation = b->scene.image;
     return problem;
 }
 
@@ -218,86 +190,59 @@ makeSegmentation(const rsu::vision::Image &image,
                  const SceneOptions &options)
 {
     const int labels = std::clamp(pick(options.labels, 5), 2, 8);
-    auto holder = std::make_shared<ImageSegmentationHolder>(
-        image, rsu::vision::SegmentationModel::kmeansMeans(image,
-                                                           labels));
-
-    InferenceProblem problem;
-    problem.workload = "segmentation";
-    problem.config = rsu::vision::segmentationConfig(
-        holder->image, labels,
-        options.temperature > 0.0 ? options.temperature : 6.0,
-        pick(options.doubleton_weight, 6));
-    problem.description =
-        describe("segmentation (input image)", problem.config, 0.0);
-    problem.singleton =
-        std::shared_ptr<const rsu::mrf::SingletonModel>(
-            holder, &holder->model);
-    problem.default_annealing =
-        defaultSchedule(problem.config.temperature);
-    problem.render = [holder](const std::vector<Label> &result) {
-        Image out(holder->image.width(), holder->image.height(), 63);
-        for (int i = 0; i < out.size(); ++i)
-            out.pixels()[i] =
-                holder->model.means()[result[i] & 0x7];
-        return out;
-    };
-    problem.observation = holder->image;
+    auto b = bundle(image, [labels](const Image &img) {
+        return rsu::vision::SegmentationModel(
+            img, rsu::vision::SegmentationModel::kmeansMeans(img, labels));
+    });
+    auto problem = assemble(
+        "segmentation",
+        rsu::vision::segmentationConfig(
+            b->scene, labels, pick(options.temperature, 6.0),
+            pick(options.doubleton_weight, 6)),
+        0.0, b, "segmentation (input image)");
+    problem.render = paintMeans(b, problem.config);
+    problem.observation = b->scene;
     return problem;
 }
 
 InferenceProblem
 makeStereo(const SceneOptions &options)
 {
-    const int width = pick(options.width, 128);
-    const int height = pick(options.height, 96);
     const int disparities =
         std::clamp(pick(options.labels, 5), 2, 8);
     const double sigma = pickSigma(options.noise_sigma, 1.0);
 
     rsu::rng::Xoshiro256 rng(options.seed);
-    auto holder = std::make_shared<StereoHolder>(
-        rsu::vision::makeStereoScene(width, height, disparities,
-                                     sigma, rng));
-
-    InferenceProblem problem;
-    problem.workload = "stereo";
-    problem.config = rsu::vision::stereoConfig(
-        holder->scene.left, disparities,
-        options.temperature > 0.0 ? options.temperature : 6.0,
-        pick(options.doubleton_weight, 6));
-    problem.description = describe("stereo", problem.config, sigma);
-    problem.singleton =
-        std::shared_ptr<const rsu::mrf::SingletonModel>(
-            holder, &holder->model);
-    problem.default_annealing =
-        defaultSchedule(problem.config.temperature);
-    problem.ground_truth = holder->scene.truth;
-    problem.quality = {
-        "accuracy", true,
-        [holder](const std::vector<Label> &result) {
-            return rsu::vision::labelAccuracy(result,
-                                              holder->scene.truth);
-        }};
+    auto b = bundle(rsu::vision::makeStereoScene(
+                        pick(options.width, 128), pick(options.height, 96),
+                        disparities, sigma, rng),
+                    [](const rsu::vision::StereoScene &s) {
+                        return rsu::vision::StereoModel(
+                            s.left, s.right, s.num_disparities);
+                    });
+    auto problem = assemble(
+        "stereo",
+        rsu::vision::stereoConfig(b->scene.left, disparities,
+                                  pick(options.temperature, 6.0),
+                                  pick(options.doubleton_weight, 6)),
+        sigma, b);
+    problem.ground_truth = b->scene.truth;
+    problem.quality = accuracy(b);
     const int span = std::max(1, disparities - 1);
-    problem.render = [holder,
-                      span](const std::vector<Label> &result) {
-        Image out(holder->scene.left.width(),
-                  holder->scene.left.height(), 63);
+    problem.render = [b, span](const std::vector<Label> &result) {
+        Image out(b->scene.left.width(), b->scene.left.height(), 63);
         for (int i = 0; i < out.size(); ++i)
             out.pixels()[i] = static_cast<uint8_t>(
                 (result[i] & 0x7) * 63 / span);
         return out;
     };
-    problem.observation = holder->scene.left;
+    problem.observation = b->scene.left;
     return problem;
 }
 
 InferenceProblem
 makeMotion(const SceneOptions &options)
 {
-    const int width = pick(options.width, 96);
-    const int height = pick(options.height, 72);
     // Accept a radius (1..3) or a window size (9/25/49) in
     // options.labels; anything else means the paper's 7x7 window.
     int radius = 3;
@@ -310,128 +255,83 @@ makeMotion(const SceneOptions &options)
     const double sigma = pickSigma(options.noise_sigma, 1.0);
 
     rsu::rng::Xoshiro256 rng(options.seed);
-    auto holder = std::make_shared<MotionHolder>(
-        rsu::vision::makeMotionScene(width, height, 3, radius,
-                                     sigma, rng));
-
-    InferenceProblem problem;
-    problem.workload = "motion";
-    problem.config = rsu::vision::motionConfig(
-        holder->scene.frame1, radius,
-        options.temperature > 0.0 ? options.temperature : 4.0,
-        pick(options.doubleton_weight, 2));
-    problem.description = describe("motion", problem.config, sigma);
-    problem.singleton =
-        std::shared_ptr<const rsu::mrf::SingletonModel>(
-            holder, &holder->model);
-    problem.default_annealing =
-        defaultSchedule(problem.config.temperature);
-    problem.ground_truth = holder->scene.truth;
+    auto b = bundle(rsu::vision::makeMotionScene(
+                        pick(options.width, 96), pick(options.height, 72),
+                        3, radius, sigma, rng),
+                    [](const rsu::vision::MotionScene &s) {
+                        return rsu::vision::MotionModel(
+                            s.frame1, s.frame2, s.radius);
+                    });
+    auto problem = assemble(
+        "motion",
+        rsu::vision::motionConfig(b->scene.frame1, radius,
+                                  pick(options.temperature, 4.0),
+                                  pick(options.doubleton_weight, 2)),
+        sigma, b);
+    problem.ground_truth = b->scene.truth;
     problem.quality = {
-        "epe_px", false,
-        [holder](const std::vector<Label> &result) {
-            return rsu::vision::meanEndpointError(
-                result, holder->scene.truth);
+        "epe_px", false, [b](const std::vector<Label> &result) {
+            return rsu::vision::meanEndpointError(result,
+                                                  b->scene.truth);
         }};
-    problem.observation = holder->scene.frame1;
+    problem.observation = b->scene.frame1;
     return problem;
 }
 
 InferenceProblem
 makeDenoise(const SceneOptions &options)
 {
-    const int width = pick(options.width, 128);
-    const int height = pick(options.height, 96);
     const int levels = std::clamp(pick(options.labels, 6), 2, 8);
     const double sigma = pickSigma(options.noise_sigma, 6.0);
 
-    // Clean scene: piecewise-constant regions whose means coincide
-    // with the restoration levels, so a perfect restoration exists.
+    // Clean scene: piecewise-constant regions whose means are
+    // exactly the restoration levels, so a perfect restoration
+    // exists and the region map is the ground truth.
     rsu::rng::Xoshiro256 rng(options.seed);
     auto scene = rsu::vision::makeSegmentationScene(
-        width, height, levels, 0.0, rng);
-    Image clean = std::move(scene.image);
-    Image noisy = clean;
+        pick(options.width, 128), pick(options.height, 96), levels,
+        0.0, rng);
+    Image noisy = scene.image;
     for (auto &p : noisy.pixels())
         p = rsu::vision::clampPixel(
             p + rsu::rng::sampleNormal(rng, 0.0, sigma), 63);
 
-    auto holder = std::make_shared<DenoiseHolder>(
-        std::move(clean), std::move(noisy), levels);
-
-    InferenceProblem problem;
-    problem.workload = "denoise";
-    problem.config = rsu::vision::denoiseConfig(
-        holder->noisy, levels,
-        options.temperature > 0.0 ? options.temperature : 4.0,
-        pick(options.doubleton_weight, 2));
-    problem.description =
-        describe("denoise", problem.config, sigma);
-    problem.singleton =
-        std::shared_ptr<const rsu::mrf::SingletonModel>(
-            holder, &holder->model);
-    problem.default_annealing =
-        defaultSchedule(problem.config.temperature);
-    // Ground truth: the level whose intensity is nearest each clean
-    // pixel (the scene's region means are exactly the level values,
-    // so this is the generating labelling).
-    problem.ground_truth.resize(
-        static_cast<size_t>(holder->clean.size()));
-    for (int i = 0; i < holder->clean.size(); ++i) {
-        const int p = holder->clean.pixels()[i];
-        int best = 0, best_d = 1 << 20;
-        for (int l = 0; l < levels; ++l) {
-            const int d =
-                std::abs(p - holder->model.levelValue(
-                                 static_cast<Label>(l)));
-            if (d < best_d) {
-                best_d = d;
-                best = l;
-            }
-        }
-        problem.ground_truth[i] = static_cast<Label>(best);
-    }
+    auto b = bundle(DenoiseScene{std::move(scene.image), std::move(noisy)},
+                    [levels](const DenoiseScene &s) {
+                        return rsu::vision::DenoiseModel(s.noisy, levels);
+                    });
+    auto problem = assemble(
+        "denoise",
+        rsu::vision::denoiseConfig(b->scene.noisy, levels,
+                                   pick(options.temperature, 4.0),
+                                   pick(options.doubleton_weight, 2)),
+        sigma, b);
+    problem.ground_truth = std::move(scene.truth);
     problem.quality = {
-        "psnr_db", true,
-        [holder](const std::vector<Label> &result) {
-            return rsu::vision::psnr(holder->model.reconstruct(result),
-                                     holder->clean);
+        "psnr_db", true, [b](const std::vector<Label> &result) {
+            return rsu::vision::psnr(b->model.reconstruct(result),
+                                     b->scene.clean);
         }};
-    problem.render = [holder](const std::vector<Label> &result) {
-        return holder->model.reconstruct(result);
+    problem.render = [b](const std::vector<Label> &result) {
+        return b->model.reconstruct(result);
     };
-    problem.observation = holder->noisy;
+    problem.observation = b->scene.noisy;
     return problem;
 }
 
 InferenceProblem
 makeSynthetic(const SceneOptions &options)
 {
-    const int width = pick(options.width, 96);
-    const int height = pick(options.height, 96);
-    const int labels = std::clamp(pick(options.labels, 8), 2, 8);
-
-    auto holder = std::make_shared<SyntheticHolder>(options.seed);
-
-    InferenceProblem problem;
-    problem.workload = "synthetic";
-    problem.config.width = width;
-    problem.config.height = height;
-    problem.config.num_labels = labels;
-    problem.config.temperature =
-        options.temperature > 0.0 ? options.temperature : 8.0;
-    problem.config.energy.mode = rsu::core::LabelMode::Scalar;
-    problem.config.energy.doubleton_weight =
-        pick(options.doubleton_weight, 4);
-    problem.config.energy.singleton_shift = 4;
-    problem.description =
-        describe("synthetic", problem.config, 0.0);
-    problem.singleton =
-        std::shared_ptr<const rsu::mrf::SingletonModel>(
-            holder, &holder->model);
-    problem.default_annealing =
-        defaultSchedule(problem.config.temperature);
-    return problem;
+    auto b = bundle(options.seed,
+                    [](uint64_t seed) { return SyntheticModel(seed); });
+    return assemble(
+        "synthetic",
+        rsu::mrf::scalarConfig(pick(options.width, 96),
+                               pick(options.height, 96),
+                               std::clamp(pick(options.labels, 8), 2, 8),
+                               pick(options.temperature, 8.0),
+                               pick(options.doubleton_weight, 4)),
+        0.0, b);
 }
 
 } // namespace rsu::workload

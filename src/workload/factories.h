@@ -12,10 +12,11 @@
  * image-input overload serves real data (no ground truth, k-means
  * class means).
  *
- * Ownership: factories copy or generate the observations into a
- * holder that lives inside the problem's shared model pointer
- * (std::shared_ptr aliasing), so the returned InferenceProblem —
- * and any job made from it — keeps everything it references alive.
+ * Ownership: each factory copies or generates its scene into one
+ * bundle that builds the model in place from it; the problem's
+ * shared model pointer aliases into the bundle (std::shared_ptr
+ * aliasing), so the returned InferenceProblem — and any job made
+ * from it — keeps everything it references alive.
  */
 
 #ifndef RSU_WORKLOAD_FACTORIES_H

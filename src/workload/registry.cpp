@@ -1,38 +1,22 @@
 #include "workload/registry.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace rsu::workload {
-
-void
-WorkloadRegistry::add(std::string name, std::string description,
-                      Factory factory)
-{
-    if (!factory)
-        throw std::invalid_argument(
-            "WorkloadRegistry: empty factory for '" + name + "'");
-    if (find(name))
-        throw std::invalid_argument(
-            "WorkloadRegistry: duplicate workload '" + name + "'");
-    entries_.push_back({std::move(name), std::move(description),
-                        std::move(factory)});
-}
 
 bool
 WorkloadRegistry::contains(const std::string &name) const
 {
-    return find(name) != nullptr;
+    return std::ranges::any_of(
+        entries_, [&](const Entry &entry) { return entry.name == name; });
 }
 
 InferenceProblem
 WorkloadRegistry::make(const std::string &name,
                        const SceneOptions &options) const
 {
-    const Entry *entry = find(name);
-    if (!entry)
-        throwUnknown(name);
-    return entry->factory(options);
+    return find(name).make(options);
 }
 
 std::vector<std::string>
@@ -48,59 +32,35 @@ WorkloadRegistry::names() const
 const std::string &
 WorkloadRegistry::description(const std::string &name) const
 {
-    const Entry *entry = find(name);
-    if (!entry)
-        throwUnknown(name);
-    return entry->description;
+    return find(name).description;
 }
 
 const WorkloadRegistry &
 WorkloadRegistry::builtin()
 {
-    static const WorkloadRegistry registry = [] {
-        WorkloadRegistry r;
-        r.add("segmentation",
-              "piecewise-constant region labelling (paper flagship)",
-              [](const SceneOptions &o) {
-                  return makeSegmentation(o);
-              });
-        r.add("motion",
-              "dense motion estimation, vector labels (7x7 window)",
-              [](const SceneOptions &o) { return makeMotion(o); });
-        r.add("stereo",
-              "rectified-pair disparity estimation",
-              [](const SceneOptions &o) { return makeStereo(o); });
-        r.add("denoise",
-              "quantized-intensity image restoration",
-              [](const SceneOptions &o) { return makeDenoise(o); });
-        r.add("synthetic",
-              "seeded random-field serving/benchmark workload",
-              [](const SceneOptions &o) {
-                  return makeSynthetic(o);
-              });
-        return r;
-    }();
+    static const WorkloadRegistry registry({
+        {"segmentation",
+         "piecewise-constant region labelling (paper flagship)",
+         makeSegmentation},
+        {"motion", "dense motion estimation, vector labels (7x7 window)",
+         makeMotion},
+        {"stereo", "rectified-pair disparity estimation", makeStereo},
+        {"denoise", "quantized-intensity image restoration", makeDenoise},
+        {"synthetic", "seeded random-field serving/benchmark workload",
+         makeSynthetic},
+    });
     return registry;
 }
 
-const WorkloadRegistry::Entry *
+const WorkloadRegistry::Entry &
 WorkloadRegistry::find(const std::string &name) const
 {
     for (const auto &entry : entries_)
         if (entry.name == name)
-            return &entry;
-    return nullptr;
-}
-
-void
-WorkloadRegistry::throwUnknown(const std::string &name) const
-{
+            return entry;
     std::string known;
-    for (const auto &entry : entries_) {
-        if (!known.empty())
-            known += ", ";
-        known += entry.name;
-    }
+    for (const auto &entry : entries_)
+        known += (known.empty() ? "" : ", ") + entry.name;
     throw std::out_of_range("WorkloadRegistry: unknown workload '" +
                             name + "' (known: " + known + ")");
 }

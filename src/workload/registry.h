@@ -6,18 +6,18 @@
  * instantiate problems by name — "segmentation", "motion", ... —
  * without compiling against any per-workload factory: the registry
  * is the indirection that lets one server binary run every scenario
- * the repo knows about, and lets downstream code add its own.
+ * the repo knows about.
  *
- * builtin() returns a process-wide registry pre-populated with the
- * five standard workloads (factories.h). Instances are cheap; a
- * custom registry can be built from scratch with add().
+ * builtin() is the only registry: a fixed table of the five
+ * standard workloads (factories.h). Adding an application means one
+ * factory and one row in that table.
  */
 
 #ifndef RSU_WORKLOAD_REGISTRY_H
 #define RSU_WORKLOAD_REGISTRY_H
 
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/factories.h"
@@ -25,21 +25,10 @@
 
 namespace rsu::workload {
 
-/** Name -> problem-factory map with stable registration order. */
+/** The fixed name -> problem-factory table, in registration order. */
 class WorkloadRegistry
 {
   public:
-    using Factory =
-        std::function<InferenceProblem(const SceneOptions &)>;
-
-    /**
-     * Register @p factory under @p name.
-     * @throws std::invalid_argument on a duplicate name or an
-     *         empty factory.
-     */
-    void add(std::string name, std::string description,
-             Factory factory);
-
     bool contains(const std::string &name) const;
 
     /**
@@ -58,8 +47,8 @@ class WorkloadRegistry
     const std::string &description(const std::string &name) const;
 
     /**
-     * The shared registry holding the built-in workloads:
-     * segmentation, motion, stereo, denoise, synthetic.
+     * The registry of the built-in workloads: segmentation, motion,
+     * stereo, denoise, synthetic.
      */
     static const WorkloadRegistry &builtin();
 
@@ -68,11 +57,16 @@ class WorkloadRegistry
     {
         std::string name;
         std::string description;
-        Factory factory;
+        InferenceProblem (*make)(const SceneOptions &);
     };
 
-    const Entry *find(const std::string &name) const;
-    [[noreturn]] void throwUnknown(const std::string &name) const;
+    explicit WorkloadRegistry(std::vector<Entry> entries)
+        : entries_(std::move(entries))
+    {
+    }
+
+    /** @throws std::out_of_range when @p name is unknown. */
+    const Entry &find(const std::string &name) const;
 
     std::vector<Entry> entries_;
 };
